@@ -7,13 +7,12 @@
 // multiset churn under each policy and reports throughput plus retained
 // garbage:
 //
-//   ebr   — epoch-deferred delete (the default; bounded garbage)
-//   leaky — retire() drops nodes on the floor: footprint grows with every
-//           removal, and every leaked node pins its final SCX descriptor
-//           (the transitive cost of skipping reclamation)
-//   pool  — epoch-deferred recycling into per-thread free lists: same
-//           safety as ebr, but steady-state node churn stops paying
-//           malloc/free (pool hits are reported)
+//   ebr   — the default: nodes and descriptors wait out the epoch grace
+//           period, then their storage is recycled through per-thread
+//           size-classed free lists (pool hits are reported); garbage is
+//           bounded and drains to zero
+//   leaky — retire() drops nodes AND descriptors on the floor: footprint
+//           grows with every removal and every SCX
 //
 // --json=<file> additionally emits the table as machine-readable JSON
 // (one object per row plus the build configuration), so successive PRs
@@ -74,9 +73,8 @@ CellResult run_cell(int threads) {
   }
   Reclaim::drain();
   Reclaim::drain();
-  // Pool hits land on the freeing thread too (the drain above recycles on
-  // this one), but the per-worker deltas are what the policy cost the
-  // measured phase.
+  // The drain above banks storage on this thread, but the per-worker
+  // deltas are what the policy cost the measured phase.
   for (const ReclaimStats& s : rstats) {
     res.pool_hits += s.pool_hits;
     res.leaked += s.leaked;
@@ -108,9 +106,9 @@ bool run(const char* json_path) {
   std::printf("E8: reclamation policy ablation — erase-heavy multiset churn, "
               "%d ms per row (orders: %s)\n",
               bench::phase_millis(), kRelaxedOrders ? "relaxed" : "seq_cst");
-  std::printf("claim: EBR bounds garbage at ~zero after drain; the leaky "
-              "policy leaks nodes AND the descriptors they pin; the pool "
-              "policy recycles node storage per-thread\n\n");
+  std::printf("claim: EBR drains garbage to zero and serves steady-state "
+              "allocations from its per-thread pools; the leaky policy "
+              "leaks every retired node and descriptor\n\n");
 
   std::vector<CellResult> cells;
   bench::Table t({"threads", "mode", "ops/s", "allocs", "freed via EBR",
@@ -118,7 +116,6 @@ bool run(const char* json_path) {
   for (int threads : bench::thread_grid({1, 4})) {
     cells.push_back(run_cell<EbrManager>(threads));
     cells.push_back(run_cell<LeakyManager>(threads));
-    cells.push_back(run_cell<PoolManager>(threads));
   }
   for (const CellResult& c : cells) {
     t.add_row({std::to_string(c.threads), c.mode,
@@ -128,11 +125,12 @@ bool run(const char* json_path) {
                bench::fmt_u64(c.pool_hits), bench::fmt_u64(c.leaked)});
   }
   t.print();
-  std::printf("\nnote: 'leaky' rows free only descriptors whose records were "
-              "all re-frozen later; removed nodes themselves are never "
-              "freed (unbounded footprint in a long-running process). "
-              "'pool' frees at thread exit; its drained blocks sit in "
-              "per-thread free lists, not the allocator.\n");
+  std::printf("\nnote: 'leaky' rows free nothing: removed nodes and dead "
+              "descriptors are never destroyed (unbounded footprint in a "
+              "long-running process). 'ebr' drained blocks sit in "
+              "per-thread free lists and go back to the allocator at "
+              "thread exit. No descriptor chains exist: an SCX drops its "
+              "references to older descriptors once it is decided.\n");
   return json_path == nullptr || emit_json(json_path, cells);
 }
 

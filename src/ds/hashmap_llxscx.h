@@ -179,7 +179,7 @@ class BasicLlxScxHashMap {
         }
       }
       Table* nt = t->next.load(mo::relaxed);
-      delete t;
+      Reclaim::template dealloc<Table>(t);
       t = nt;
     }
   }
@@ -509,7 +509,8 @@ class BasicLlxScxHashMap {
   Table* make_table(std::size_t buckets) const {
     std::size_t b = 1;
     while (b < buckets) b <<= 1;
-    Table* t = new Table;
+    // Through the policy, like its retirement in finish_table().
+    Table* t = Reclaim::template alloc<Table>();
     t->mask = b - 1;
     t->heads.reserve(b);
     for (std::size_t i = 0; i < b; ++i) {
@@ -524,7 +525,7 @@ class BasicLlxScxHashMap {
       Domain::reclaim_now(next_of(head));  // the tail — never published
       Domain::reclaim_now(head);
     }
-    delete t;
+    Reclaim::template dealloc<Table>(t);
   }
 
   // --- migration machinery ----------------------------------------------

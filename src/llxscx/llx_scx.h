@@ -16,14 +16,16 @@
 // languages, such as C++, memory management is an issue", §6). Here the
 // GC edges are made explicit: every SCX-record carries a reference count
 // covering (a) Data-records whose info pointer is installed on it and
-// (b) the info_fields entries of live SCX-records that name it. A
-// descriptor whose count drops to zero is retired through the reclamation
-// policy that allocated it (reclaim/record_manager.h); every policy's
-// Guard pins the epoch, which shields in-flight readers: any pointer
-// loaded from a record's info field while a Guard is held stays valid
-// (possibly dead, but never freed) until the guard drops — that is what
-// makes using a displaced descriptor as a freezing-CAS expected value
-// ABA-safe.
+// (b) in-flight references held while an SCX is undecided — its
+// creator's, helpers' transient ones, and the info_fields entries of an
+// undecided SCX that name it. An SCX drops (b) as soon as it is decided,
+// so a committed descriptor pins no history. A descriptor whose count
+// drops to zero is retired through the reclamation policy that allocated
+// it (reclaim/record_manager.h); every policy's Guard pins the epoch,
+// which shields in-flight readers: any pointer loaded from a record's
+// info field while a Guard is held stays valid (possibly dead, but never
+// freed) until the guard drops — that is what makes using a displaced
+// descriptor as a freezing-CAS expected value ABA-safe.
 //
 // Memory orders: every access uses the weakest order that preserves the
 // happens-before edge the Fig. 2/Fig. 4 proofs need, named in a comment
@@ -49,10 +51,6 @@ namespace llxscx {
 class DataRecordBase;
 class ScxRecord;
 
-// Default descriptor retirement (EbrManager path); defined after Epoch is
-// usable so ScxRecord's member initializer can name it.
-void detail_retire_scx_default(ScxRecord* r);
-
 // SCX-record: the operation descriptor (paper Fig. 1). One is allocated per
 // SCX attempt and shared with helpers through the records it freezes.
 class ScxRecord {
@@ -69,7 +67,6 @@ class ScxRecord {
   enum State : int { kInProgress = 0, kCommitted = 1, kAborted = 2 };
 
   ScxRecord() { Stats::count_alloc(); }
-  ~ScxRecord();
 
   // Reference counting (the explicit GC edges). try_acquire refuses a
   // descriptor already on its way to the epoch limbo list, so a reference
@@ -102,7 +99,6 @@ class ScxRecord {
   DataRecordBase* v_[kMaxV] = {};
   ScxRecord* info_fields_[kMaxV] = {};
   std::size_t k_ = 0;
-  std::size_t acquired_ = 0;  // how many info_fields_ references we hold
   std::uint64_t finalize_mask_ = 0;  // 64-bit: must index all of kMaxV
   std::atomic<std::uint64_t>* fld_ = nullptr;
   std::uint64_t old_ = 0;
@@ -110,18 +106,16 @@ class ScxRecord {
   std::atomic<int> state_{kInProgress};
   std::atomic<bool> all_frozen_{false};
   // How a zero-reference descriptor is reclaimed: set (pre-publication) by
-  // the scx() that allocated it, so descriptors from a PoolManager domain
-  // go back to the pool while EBR domains delete. Plain pointer: written
-  // before the first freezing CAS publishes the descriptor.
-  void (*reclaim_retire_)(ScxRecord*) = &detail_retire_scx_default;
+  // the scx() that allocated it, to the retire() of that scx's policy.
+  // Plain pointer: written before the first freezing CAS publishes the
+  // descriptor.
+  void (*reclaim_retire_)(ScxRecord*) = nullptr;
 
  private:
   std::atomic<std::uint64_t> refs_{1};  // creator's reference
 
   friend ScxRecord* detail_dummy_scx();
 };
-
-inline void detail_retire_scx_default(ScxRecord* r) { Epoch::retire(r); }
 
 // The initial descriptor every fresh Data-record points at (state Aborted =
 // "unfrozen"). Its reference count starts astronomically high so release()
@@ -248,13 +242,17 @@ inline bool detail_help(ScxRecord* u) {
       u->release();
     } else {
       // r is frozen for some other SCX. If U already has allFrozen set, a
-      // helper finished freezing before r moved on, so U committed.
+      // helper finished freezing before r moved on, so U committed: finish
+      // the commit phase below rather than return early. The mark stores,
+      // the update CAS and the Committed store are all idempotent, and
+      // this way detail_help returns only once U's state is decided —
+      // which scx() relies on to release U's info_fields_ references.
       Stats::count_read();
       // acquire: pairs with the committer's release store of all_frozen_
       // (see the failure-order comment above for why it is visible).
       if (u->all_frozen_.load(mo::acquire)) {
         u->release();  // drop the speculative reference
-        return true;
+        break;
       }
       Stats::count_write();
       // release: pairs with LLX's acquire state read — a reader that sees
@@ -293,10 +291,6 @@ inline bool detail_help(ScxRecord* u) {
   // (the marked2 proof) and traversals that re-read fld see the update.
   u->state_.store(ScxRecord::kCommitted, mo::release);
   return true;
-}
-
-inline ScxRecord::~ScxRecord() {
-  for (std::size_t i = 0; i < acquired_; ++i) info_fields_[i]->release();
 }
 
 // LLX(r) — paper Fig. 2.
@@ -403,8 +397,8 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
 // nothing (any freezes it won were undone by helpers observing the abort).
 //
 // The Reclaim policy supplies the descriptor's storage and its eventual
-// retirement path (reclaim/record_manager.h); EbrManager reproduces the
-// seed's new/epoch-delete behavior exactly.
+// retirement path through its ordinary alloc/retire/dealloc
+// (reclaim/record_manager.h).
 //
 // Preconditions (the paper's §3 constraints plus this repo's memory rules):
 //   - v[0..k) are links from THIS thread's LLXs, all taken and still
@@ -426,9 +420,9 @@ bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
          std::uint64_t new_val) {
   assert(k >= 1 && k <= ScxRecord::kMaxV);
   Stats::scx_call();
-  ScxRecord* u = Reclaim::template alloc_desc<ScxRecord>();
+  ScxRecord* u = Reclaim::template alloc<ScxRecord>();
   u->reclaim_retire_ = [](ScxRecord* d) {
-    Reclaim::template retire_desc<ScxRecord>(d);
+    Reclaim::template retire<ScxRecord>(d);
   };
   u->k_ = k;
   u->finalize_mask_ = finalize_mask;
@@ -441,16 +435,22 @@ bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
     if (!v[i].info->try_acquire()) {
       // v[i].info already hit zero references, so v[i].rec has been
       // re-frozen since the LLX: this SCX must fail. u was never
-      // published, so it can be reclaimed in place (releasing the
-      // references acquired so far).
-      u->acquired_ = i;
-      Reclaim::template dealloc_desc<ScxRecord>(u);
+      // published, so it can be reclaimed in place once the references
+      // acquired so far are released.
+      for (std::size_t j = 0; j < i; ++j) u->info_fields_[j]->release();
+      Reclaim::template dealloc<ScxRecord>(u);
       Stats::scx_failed();
       return false;
     }
-    u->acquired_ = i + 1;
   }
   const bool ok = detail_help(u);
+  // u is decided now (detail_help returns only then), so its expected
+  // values are dead weight: release them, and a committed descriptor pins
+  // no history. Helpers still inside detail_help(u) stay safe: each one
+  // saw u in progress under its guard, before this release, so any
+  // descriptor it releases is retired after that guard began and EBR
+  // keeps its address from recurring until the guard drops (DESIGN.md §2).
+  for (std::size_t i = 0; i < k; ++i) u->info_fields_[i]->release();
   u->release();  // creator's reference
   if (!ok) Stats::scx_failed();
   return ok;
@@ -474,8 +474,9 @@ inline bool vlx(const LinkedLlx* v, std::size_t k) {
   return true;
 }
 
-// Retire a removed Data-record through epoch reclamation (the EbrManager
-// path; policy-parameterized callers go through LlxScxDomain/ScxOp).
+// Retire a removed Data-record that was allocated with plain `new`: epoch
+// reclamation deletes it after the grace period (policy-parameterized
+// callers go through LlxScxDomain/ScxOp instead).
 // Call exactly once, from the thread whose committed SCX removed it —
 // either a record in that SCX's R-set, or one made unreachable by the
 // commit (the trees' removed leaf). Exactly-once is the structure's
@@ -489,10 +490,10 @@ void retire_record(T* r) {
 
 // LlxScxDomain<Reclaim> — the primitives bound to one reclamation policy
 // (the tentpole seam: structures and the ScxOp builder go through this,
-// so swapping EbrManager/LeakyManager/PoolManager touches no structure
-// code). The llx/scx/vlx algorithms are policy-independent; what the
-// domain routes is every allocation and every retirement: Data-records
-// via make_record/retire_record/reclaim_now, descriptors inside scx().
+// so swapping EbrManager/LeakyManager touches no structure code). The
+// llx/scx/vlx algorithms are policy-independent; what the domain routes is
+// every allocation and every retirement: Data-records via
+// make_record/retire_record/reclaim_now, descriptors inside scx().
 template <class Reclaim = EbrManager>
 struct LlxScxDomain {
   static_assert(RecordManager<Reclaim>);

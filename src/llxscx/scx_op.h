@@ -110,9 +110,9 @@ class Fresh {
 // reclamation policy (reclaim/record_manager.h). Stack-allocated, one per
 // attempt (retry loops construct a new one per iteration); never shared
 // between threads. The policy decides where freshly() nodes come from and
-// what commit-time retirement does — EbrManager is the default, the
-// LeakyManager instantiation is E8's no-free ablation (what used to be a
-// hand-copied Leaky multiset), PoolManager recycles per-thread.
+// what commit-time retirement does — EbrManager (pooled, epoch-deferred)
+// is the default, the LeakyManager instantiation is E8's no-free ablation
+// (what used to be a hand-copied Leaky multiset).
 template <typename NodeT, class Reclaim = EbrManager>
 class ScxOp {
  public:

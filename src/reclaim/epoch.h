@@ -4,9 +4,9 @@
 // languages, such as C++, memory management is an issue" — §6). This repo
 // substitutes classic EBR: threads pin the global epoch while they may hold
 // references into a structure; removed Data-records and displaced
-// SCX-records go onto per-thread limbo lists stamped with the epoch at
-// retirement, and a node is freed once every pinned thread holds a
-// reservation strictly newer than that stamp.
+// SCX-records go onto per-thread limbo lists stamped with an epoch no
+// earlier than their retirement, and a node is freed once every pinned
+// thread holds a reservation strictly newer than that stamp.
 //
 // Guards are reentrant (the multiset takes one per operation, and benches
 // often hold an outer one around a batch); only the outermost guard
@@ -164,55 +164,39 @@ class Epoch {
     State* prev_;
   };
 
-  // Hand p to the current domain's reclaimer; it is deleted (as T) once
-  // every thread pinned at or before the domain's current epoch has
-  // unpinned. Preconditions: p is unreachable from the structure's roots
-  // (no NEW guard can find it), and exactly one thread retires it, exactly
-  // once. The caller may still hold a guard — retirement is about future
-  // readers, not the current one. Deleters may themselves retire
-  // (descriptor chains); nested scans are suppressed, not recursive.
-  template <typename T>
-  static void retire(T* p) {
-    retire_raw(p, [](void* q) { delete static_cast<T*>(q); });
-  }
-
-  static void retire_raw(void* p, void (*del)(void*)) {
-    Handle& h = handle();
-    State& s = *h.st;
-    const std::uint64_t e = s.global.load(std::memory_order_seq_cst);
-    {
-      SpinLock lock(h.rec->mu);
-      h.rec->limbo.push_back({p, del, e});
-    }
-    s.outstanding.fetch_add(1, std::memory_order_relaxed);
-    if (++h.retires_since_scan >= kScanPeriod) {
-      h.retires_since_scan = 0;
-      s.global.fetch_add(1, std::memory_order_seq_cst);
-      scan_one(s, h.rec);
-    }
-  }
-
-  // Buffered retirement: like retire_raw, but the node parks in a small
-  // per-(thread, domain) pending buffer and is published to the limbo list
-  // in chunks of kRetireChunk. One epoch read, one lock acquisition, and
-  // one outstanding-counter update amortize over the whole chunk — this is
-  // the "batch grace-expiry" path PoolManager rides (DESIGN.md §14).
+  // Hand p to the current domain's reclaimer: `del(p)` runs once every
+  // thread pinned at or before the domain's epoch has unpinned.
+  // Preconditions: p is unreachable from the structure's roots (no NEW
+  // guard can find it), and exactly one thread retires it, exactly once.
+  // The caller may still hold a guard — retirement is about future
+  // readers, not the current one. Deleters may themselves retire (a
+  // Data-record releasing its descriptor); nested scans are suppressed,
+  // not recursive.
   //
-  // Safety: pending nodes are stamped with the epoch AT FLUSH, which is >=
-  // the epoch at retirement — strictly more conservative than retire_raw
-  // (a later stamp only delays the free). The buffer lives in the Handle,
-  // so nodes retired under a DomainScope flush into THAT domain even if
-  // the thread has since switched scopes; the Handle destructor and
+  // Retirees park in a small per-(thread, domain) pending buffer and are
+  // published to the limbo list in chunks of kRetireChunk: one epoch
+  // read, one lock acquisition and one outstanding-counter update
+  // amortize over the whole chunk (DESIGN.md §14). A chunk is stamped
+  // with the epoch AT FLUSH, which is >= the epoch at each retirement, so
+  // a late stamp only delays the free. The buffer lives in the Handle, so
+  // nodes retired under a DomainScope flush into THAT domain even if the
+  // thread has since switched scopes; the Handle destructor and
   // drain_state both flush, so nothing is stranded at thread exit or
-  // teardown. Same preconditions as retire_raw otherwise.
+  // teardown.
   static constexpr std::size_t kRetireChunk = 32;
-  static void retire_buffered(void* p, void (*del)(void*)) {
+  static void retire(void* p, void (*del)(void*)) {
     Handle& h = handle();
     h.pending.push_back({p, del});
     if (h.pending.size() >= kRetireChunk) {
       publish_pending(h);
       maybe_scan(h);
     }
+  }
+
+  // The same, deleting p as a T.
+  template <typename T>
+  static void retire(T* p) {
+    retire(p, [](void* q) { delete static_cast<T*>(q); });
   }
 
   // Free every node in the current domain whose grace period has elapsed,
@@ -280,7 +264,7 @@ class Epoch {
     ThreadRec* rec = nullptr;
     int depth = 0;
     int retires_since_scan = 0;
-    std::vector<Pending> pending;  // retire_buffered parking; flushed in chunks
+    std::vector<Pending> pending;  // retire() parking; flushed in chunks
 
     explicit Handle(State* s) : st(s) {
       std::lock_guard<std::mutex> lock(st->registry_mu);
@@ -368,8 +352,7 @@ class Epoch {
 
   // Move a handle's pending retirees to its limbo list: ONE epoch read
   // stamps the whole chunk, one lock push moves it, one fetch_add counts
-  // it. Scan cadence is credited here (not per retire) so buffered and
-  // unbuffered retirement trigger scans at the same average rate.
+  // it. Scan cadence is credited here, per published node.
   static void publish_pending(Handle& h) {
     if (h.pending.empty()) return;
     State& s = *h.st;
@@ -414,10 +397,12 @@ class Epoch {
     State* prev = cur;
     cur = &s;
     // The calling thread's buffered retirees for this domain must join the
-    // limbo lists or the drain-to-zero contract breaks for retire_buffered
-    // users (other threads' buffers flush at their Handle destructors).
-    publish_pending(handle());
+    // limbo lists on every pass, including those the previous pass's
+    // deleters retired, or the drain-to-zero contract breaks (other
+    // threads' buffers flush at their Handle destructors).
+    Handle& h = handle();
     for (;;) {
+      publish_pending(h);
       s.global.fetch_add(1, std::memory_order_seq_cst);
       std::uint64_t freed_this_pass = 0;
       for (ThreadRec* rec : all_recs(s)) freed_this_pass += scan_one(s, rec);
@@ -427,7 +412,8 @@ class Epoch {
   }
 
   // Moves `rec`'s expired nodes out under its lock, then frees them with no
-  // lock held (a deleter may re-enter retire_raw on this thread's own rec).
+  // lock held (a deleter may re-enter retire() and publish to this thread's
+  // own rec).
   static std::uint64_t scan_one(State& s, ThreadRec* rec) {
     thread_local bool scanning = false;
     if (scanning) return 0;  // deleter re-entered retire(); skip nested scan

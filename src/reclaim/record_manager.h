@@ -11,10 +11,9 @@
 // A RecordManager provides:
 //
 //   M::Guard            RAII read reservation. Every manager here uses
-//                       Epoch::Guard — even the leaky one — because SCX
-//                       descriptors are always epoch-reclaimed and helpers
-//                       dereference them under the same guard. A guard
-//                       pins the epoch for EVERY thread's limbo, so
+//                       Epoch::Guard — even the leaky one — because
+//                       helpers dereference SCX descriptors under it. A
+//                       guard pins the epoch for EVERY thread's limbo, so
 //                       long-running walks (a whole-table size() or
 //                       occupancy scan) must re-enter a fresh Guard per
 //                       segment rather than hold one across the walk —
@@ -31,16 +30,6 @@
 //   M::dealloc(T*)      destroy a node that was NEVER published (an
 //                       aborted op's fresh allocation, or quiescent
 //                       teardown): no grace period needed.
-//   M::alloc_desc<T> /  the same three verbs for SCX descriptors. Split
-//   M::retire_desc /    out because descriptor reclamation must ALWAYS be
-//   M::dealloc_desc     grace-safe and eventual — helpers dereference
-//                       descriptors under guards, and the refcount edges
-//                       (DESIGN.md §2) assume a dead descriptor is
-//                       eventually destroyed. A policy may redirect their
-//                       storage (PoolManager recycles them) but never
-//                       drop them: LeakyManager's "never free" semantics
-//                       apply to Data-records only, which is what the E8
-//                       ablation is about.
 //   M::drain()          test/teardown: reclaim everything reclaimable.
 //   M::stats()          this thread's ReclaimStats (plain thread-local
 //                       counters — no shared steps, so policy accounting
@@ -53,12 +42,17 @@
 //                       (DESIGN.md §12) report per-shard reclamation and
 //                       the tests assert shard independence.
 //
+// SCX descriptors ride the same alloc/retire/dealloc as Data-records:
+// scx() allocates its ScxRecord through the policy, a descriptor whose
+// last reference drops is retired through it, and an SCX that fails
+// before publishing its descriptor deallocates it.
+//
 // The contract a policy must honor for the LLX/SCX proofs to survive is
 // written out in DESIGN.md §10; the short form: an address handed to
 // retire() must not be handed out by alloc() again while any thread that
 // could still reach the old node holds a Guard taken before the retire.
-// EbrManager and PoolManager get this from the epoch grace period;
-// LeakyManager gets it vacuously (retired addresses never recur at all).
+// EbrManager gets this from the epoch grace period; LeakyManager gets it
+// vacuously (retired addresses never recur at all).
 #pragma once
 
 #include <concepts>
@@ -69,6 +63,22 @@
 #include <vector>
 
 #include "reclaim/epoch.h"
+
+// __SANITIZE_ADDRESS__ first: sanitizer headers define a stub
+// __has_feature(x) as 0 for GCC, which would hide ASan from a later check.
+#if defined(__SANITIZE_ADDRESS__)
+#define LLXSCX_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define LLXSCX_ASAN 1
+#endif
+#endif
+#ifndef LLXSCX_ASAN
+#define LLXSCX_ASAN 0
+#endif
+#if LLXSCX_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace llxscx {
 
@@ -109,7 +119,7 @@ struct DomainReclaimStats {
   std::uint64_t outstanding = 0;
   std::uint64_t freed = 0;
   // Blocks currently banked in the CALLING thread's size-classed free
-  // lists (PoolManager only; 0 for managers without pools). Thread-local
+  // lists (EbrManager only; 0 for managers without pools). Thread-local
   // by construction — per-thread lists are the whole point — but surfaced
   // here so for_each_shard / bench teardown can report pool depth next to
   // the domain's limbo accounting.
@@ -125,137 +135,19 @@ concept RecordManager = requires(int* p) {
   { M::template alloc<int>(0) } -> std::same_as<int*>;
   { M::template retire<int>(p) };
   { M::template dealloc<int>(p) };
-  { M::template alloc_desc<int>(0) } -> std::same_as<int*>;
-  { M::template retire_desc<int>(p) };
-  { M::template dealloc_desc<int>(p) };
   { M::drain() };
   { M::stats() } -> std::same_as<ReclaimStats&>;
   { M::domain_stats() } -> std::same_as<DomainReclaimStats>;
 };
 
-// --- EbrManager: the default — plain new/delete under epoch grace -------
+// --- EbrManager: the default — size-classed pools under epoch grace ----
 //
-// Exactly the seed behavior, factored behind the concept: retire defers
-// the delete until every guard that could reach the node has dropped.
-struct EbrManager {
-  static constexpr const char* kName = "ebr";
-  using Guard = Epoch::Guard;
-
-  template <class T, class... Args>
-  static T* alloc(Args&&... args) {
-    ++stats().allocs;
-    return new T(std::forward<Args>(args)...);
-  }
-
-  template <class T>
-  static void retire(T* p) {
-    ++stats().retires;
-    Epoch::retire(p);
-  }
-
-  template <class T>
-  static void dealloc(T* p) {
-    ++stats().deallocs;
-    delete p;
-  }
-
-  // Descriptors take the identical path.
-  template <class T, class... Args>
-  static T* alloc_desc(Args&&... args) {
-    return alloc<T>(std::forward<Args>(args)...);
-  }
-  template <class T>
-  static void retire_desc(T* p) {
-    retire(p);
-  }
-  template <class T>
-  static void dealloc_desc(T* p) {
-    dealloc(p);
-  }
-
-  static void drain() { Epoch::drain_all_for_testing(); }
-
-  static DomainReclaimStats domain_stats() {
-    return {Epoch::outstanding(), Epoch::total_freed()};
-  }
-
-  static ReclaimStats& stats() {
-    thread_local ReclaimStats s;
-    return s;
-  }
-};
-
-// --- LeakyManager: the no-free baseline (E8's ablation) -----------------
-//
-// retire() drops the node on the floor, so a long-running process grows
-// without bound — the point of the ablation is to measure what that buys.
-// The §3 usage assumption (a retired address never re-enters a mutable
-// field) holds trivially: leaked addresses are never recycled. Guards are
-// still epoch guards because descriptors (and the helpers reading them)
-// remain epoch-reclaimed regardless of the node policy.
-struct LeakyManager {
-  static constexpr const char* kName = "leaky";
-  using Guard = Epoch::Guard;
-
-  template <class T, class... Args>
-  static T* alloc(Args&&... args) {
-    ++stats().allocs;
-    return new T(std::forward<Args>(args)...);
-  }
-
-  template <class T>
-  static void retire(T*) {
-    ++stats().retires;
-    ++stats().leaked;  // deliberately never freed
-  }
-
-  template <class T>
-  static void dealloc(T* p) {
-    // Never published, so the leak rationale does not apply: free it.
-    ++stats().deallocs;
-    delete p;
-  }
-
-  // Descriptors must NOT leak (interface comment above): the ablation
-  // withholds reclamation from Data-records only, so descriptors keep the
-  // default epoch path — which is what lets E8 show leaked nodes pinning
-  // their final descriptors transitively.
-  template <class T, class... Args>
-  static T* alloc_desc(Args&&... args) {
-    ++stats().allocs;
-    return new T(std::forward<Args>(args)...);
-  }
-  template <class T>
-  static void retire_desc(T* p) {
-    ++stats().retires;
-    Epoch::retire(p);
-  }
-  template <class T>
-  static void dealloc_desc(T* p) {
-    ++stats().deallocs;
-    delete p;
-  }
-
-  static void drain() { Epoch::drain_all_for_testing(); }
-
-  static DomainReclaimStats domain_stats() {
-    return {Epoch::outstanding(), Epoch::total_freed()};
-  }
-
-  static ReclaimStats& stats() {
-    thread_local ReclaimStats s;
-    return s;
-  }
-};
-
-// --- PoolManager: size-classed per-thread free lists on top of EBR ------
-//
-// The throughput candidate: retired nodes still wait out the epoch grace
-// period (address stability is what the LLX/SCX proofs consume), but when
-// the grace period elapses the storage goes to a per-thread free list
-// instead of the allocator, and alloc() placement-news into a recycled
-// block when one is available. Node churn (every SCX replaces nodes by
-// design) then stops paying malloc/free on the steady state.
+// Retired nodes wait out the epoch grace period (address stability is
+// what the LLX/SCX proofs consume), but when the grace period elapses the
+// storage goes to a per-thread free list instead of the allocator, and
+// alloc() placement-news into a recycled block when one is available.
+// Node and descriptor churn (every SCX replaces nodes by design) then
+// stops paying malloc/free on the steady state.
 //
 // Lists are keyed by SIZE CLASS, not by type (DESIGN.md §14): 16-byte
 // steps up to 256 bytes, then power-of-two classes up to 16 KiB (wide
@@ -266,17 +158,13 @@ struct LeakyManager {
 // of fragmenting across per-type lists. Types larger than the biggest
 // class fall back to plain new/delete (still grace-deferred).
 //
-// Retirement rides Epoch::retire_buffered: expired retirees move to the
-// free lists in chunks with ONE epoch check per chunk, amortizing the
-// seq_cst epoch load, the limbo lock, and the outstanding counter across
-// kRetireChunk nodes.
-//
 // The reuse is exactly as safe as delete-then-malloc reuse: a block only
 // reaches the pool after the same grace period that would have preceded
-// its free, so an address can re-enter a mutable field no earlier than it
-// could under EbrManager.
-struct PoolManager {
-  static constexpr const char* kName = "pool";
+// its free. Under AddressSanitizer a banked block is poisoned until alloc
+// hands it out again, so a use-after-free or a double retire of pooled
+// storage is still reported, as it would be for freed memory.
+struct EbrManager {
+  static constexpr const char* kName = "ebr";
   using Guard = Epoch::Guard;
 
   // 16-byte-granularity classes 0..15 cover 16..256 bytes; doubling
@@ -312,6 +200,7 @@ struct PoolManager {
       if (!fl.empty()) {
         block = fl.back();
         fl.pop_back();
+        asan_unpoison(block, size_class_bytes(kCls));
         ++stats().pool_hits;
       } else {
         block = ::operator new(size_class_bytes(kCls));
@@ -326,9 +215,8 @@ struct PoolManager {
     // Grace first, pool after: the deleter runs on the SCANNING thread
     // once no pre-retire guard survives, destroys the node, and banks the
     // storage in that thread's class list (per-thread lists, so no lock).
-    Epoch::retire_buffered(p, [](void* q) {
-      T* t = static_cast<T*>(q);
-      t->~T();
+    Epoch::retire(p, [](void* q) {
+      static_cast<T*>(q)->~T();
       bank<T>(q);
     });
   }
@@ -339,21 +227,6 @@ struct PoolManager {
     ++stats().deallocs;
     p->~T();
     bank<T>(p);
-  }
-
-  // Descriptors are recycled exactly like nodes — still grace-safe, so
-  // the interface's "never drop a descriptor" rule holds.
-  template <class T, class... Args>
-  static T* alloc_desc(Args&&... args) {
-    return alloc<T>(std::forward<Args>(args)...);
-  }
-  template <class T>
-  static void retire_desc(T* p) {
-    retire(p);
-  }
-  template <class T>
-  static void dealloc_desc(T* p) {
-    dealloc(p);
   }
 
   static void drain() { Epoch::drain_all_for_testing(); }
@@ -377,12 +250,7 @@ struct PoolManager {
   // Return every banked block on THIS thread to the allocator. Tests that
   // pin pool_hits deltas call this first so blocks left over from earlier
   // tests in the same size class cannot satisfy (and miscount) an alloc.
-  static void purge_thread_cache() {
-    for (std::vector<void*>& fl : free_lists().cls) {
-      for (void* b : fl) ::operator delete(b);
-      fl.clear();
-    }
-  }
+  static void purge_thread_cache() { free_lists().release_all(); }
 
  private:
   template <class T>
@@ -391,18 +259,40 @@ struct PoolManager {
     if constexpr (kCls == kNoSizeClass) {
       ::operator delete(q);
     } else {
+      asan_poison(q, size_class_bytes(kCls));
       free_lists().cls[kCls].push_back(q);
     }
   }
+
+#if LLXSCX_ASAN
+  static void asan_poison(void* q, std::size_t n) {
+    // A checked read first: banking an already-banked block (a double
+    // retire or dealloc) reads poisoned memory here and is reported.
+    (void)*static_cast<volatile const char*>(q);
+    __asan_poison_memory_region(q, n);
+  }
+  static void asan_unpoison(void* q, std::size_t n) {
+    __asan_unpoison_memory_region(q, n);
+  }
+#else
+  static void asan_poison(void*, std::size_t) {}
+  static void asan_unpoison(void*, std::size_t) {}
+#endif
 
   // Raw storage blocks of size_class_bytes(cls); freed for real at thread
   // exit so the pool never shows up as a leak.
   struct FreeLists {
     std::vector<void*> cls[kNumSizeClasses];
-    ~FreeLists() {
-      for (std::vector<void*>& fl : cls)
-        for (void* b : fl) ::operator delete(b);
+    void release_all() {
+      for (std::size_t c = 0; c < kNumSizeClasses; ++c) {
+        for (void* b : cls[c]) {
+          asan_unpoison(b, size_class_bytes(c));
+          ::operator delete(b);
+        }
+        cls[c].clear();
+      }
     }
+    ~FreeLists() { release_all(); }
   };
 
   static FreeLists& free_lists() {
@@ -411,8 +301,50 @@ struct PoolManager {
   }
 };
 
+// --- LeakyManager: the no-free baseline (E8's ablation) -----------------
+//
+// retire() drops the node on the floor — Data-records and SCX descriptors
+// alike — so a long-running process grows without bound; the point of
+// the ablation is to measure what that buys. The §3 usage assumption (a
+// retired address never re-enters a mutable field) holds trivially:
+// leaked addresses are never recycled. Guards are still epoch guards, so
+// swapping the policy changes no guard behaviour in structure code.
+struct LeakyManager {
+  static constexpr const char* kName = "leaky";
+  using Guard = Epoch::Guard;
+
+  template <class T, class... Args>
+  static T* alloc(Args&&... args) {
+    ++stats().allocs;
+    return new T(std::forward<Args>(args)...);
+  }
+
+  template <class T>
+  static void retire(T*) {
+    ++stats().retires;
+    ++stats().leaked;  // deliberately never freed
+  }
+
+  template <class T>
+  static void dealloc(T* p) {
+    // Never published, so the leak rationale does not apply: free it.
+    ++stats().deallocs;
+    delete p;
+  }
+
+  static void drain() { Epoch::drain_all_for_testing(); }
+
+  static DomainReclaimStats domain_stats() {
+    return {Epoch::outstanding(), Epoch::total_freed()};
+  }
+
+  static ReclaimStats& stats() {
+    thread_local ReclaimStats s;
+    return s;
+  }
+};
+
 static_assert(RecordManager<EbrManager>);
 static_assert(RecordManager<LeakyManager>);
-static_assert(RecordManager<PoolManager>);
 
 }  // namespace llxscx

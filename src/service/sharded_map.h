@@ -309,7 +309,6 @@ class ShardedMap {
   std::size_t shard_for(std::uint64_t key) const {
     return split_(key, shard_bits_);
   }
-  std::size_t shard_of(std::uint64_t key) const { return shard_for(key); }
 
   // Occupancy/stats hook: fn(index, const Engine&, DomainReclaimStats),
   // called under the shard's scope so engine walks pin the right epoch.

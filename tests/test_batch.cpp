@@ -1,6 +1,6 @@
 // Batched-operation conformance (DESIGN.md §14): container_multi_get /
 // container_apply_batch over EVERY engine — the seven structures and their
-// ShardedMap wrappers — plus the size-classed PoolManager and the
+// ShardedMap wrappers — plus EbrManager's size-classed pool and the
 // chunked buffered-retire path they ride.
 //
 // What is pinned here:
@@ -11,10 +11,10 @@
 //     batches, and n == 1;
 //   - the hashmap's interleaved lanes survive a live bucket migration
 //     (the kMoved/kDone routing is per lane);
-//   - PoolManager's free lists are size-classed: reuse is by address
+//   - EbrManager's free lists are size-classed: reuse is by address
 //     equality WITHIN a class and never across classes;
-//   - Epoch::retire_buffered parks retirees per (thread, domain) and a
-//     drain still reaches zero (nothing stranded in pending buffers).
+//   - Epoch::retire parks retirees per (thread, domain) and a drain
+//     still reaches zero (nothing stranded in pending buffers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -338,33 +338,33 @@ TEST(MultiGetShape, SameStepsAsScalarGets) {
   }
 }
 
-// --- PoolManager size classes and buffered retire ------------------------
+// --- EbrManager size classes and buffered retire -------------------------
 
-TEST(PoolManagerSizeClasses, MappingPinned) {
-  static_assert(PoolManager::size_class_of(1) == 0);
-  static_assert(PoolManager::size_class_of(16) == 0);
-  static_assert(PoolManager::size_class_of(17) == 1);
-  static_assert(PoolManager::size_class_of(256) == 15);
-  static_assert(PoolManager::size_class_of(257) == 16);
-  static_assert(PoolManager::size_class_of(512) == 16);
-  static_assert(PoolManager::size_class_of(513) == 17);
-  static_assert(PoolManager::size_class_of(16384) == 21);
-  static_assert(PoolManager::size_class_of(16385) ==
-                PoolManager::kNoSizeClass);
-  static_assert(PoolManager::size_class_bytes(0) == 16);
-  static_assert(PoolManager::size_class_bytes(15) == 256);
-  static_assert(PoolManager::size_class_bytes(16) == 512);
-  static_assert(PoolManager::size_class_bytes(21) == 16384);
+TEST(EbrManagerSizeClasses, MappingPinned) {
+  static_assert(EbrManager::size_class_of(1) == 0);
+  static_assert(EbrManager::size_class_of(16) == 0);
+  static_assert(EbrManager::size_class_of(17) == 1);
+  static_assert(EbrManager::size_class_of(256) == 15);
+  static_assert(EbrManager::size_class_of(257) == 16);
+  static_assert(EbrManager::size_class_of(512) == 16);
+  static_assert(EbrManager::size_class_of(513) == 17);
+  static_assert(EbrManager::size_class_of(16384) == 21);
+  static_assert(EbrManager::size_class_of(16385) ==
+                EbrManager::kNoSizeClass);
+  static_assert(EbrManager::size_class_bytes(0) == 16);
+  static_assert(EbrManager::size_class_bytes(15) == 256);
+  static_assert(EbrManager::size_class_bytes(16) == 512);
+  static_assert(EbrManager::size_class_bytes(21) == 16384);
   // Every block a class hands out is big enough for every size mapped to
   // that class (the invariant that makes cross-type reuse sound).
   for (std::size_t bytes = 1; bytes <= 16384; ++bytes) {
-    const std::size_t cls = PoolManager::size_class_of(bytes);
-    ASSERT_LT(cls, PoolManager::kNumSizeClasses);
-    ASSERT_GE(PoolManager::size_class_bytes(cls), bytes);
+    const std::size_t cls = EbrManager::size_class_of(bytes);
+    ASSERT_LT(cls, EbrManager::kNumSizeClasses);
+    ASSERT_GE(EbrManager::size_class_bytes(cls), bytes);
   }
 }
 
-TEST(PoolManagerSizeClasses, ReuseByAddressEqualityPerClass) {
+TEST(EbrManagerSizeClasses, ReuseByAddressEqualityPerClass) {
   struct A24 {
     char b[24];
   };
@@ -374,33 +374,33 @@ TEST(PoolManagerSizeClasses, ReuseByAddressEqualityPerClass) {
   struct C40 {
     char b[40];
   };
-  static_assert(PoolManager::size_class_of(sizeof(A24)) ==
-                PoolManager::size_class_of(sizeof(B32)));
-  static_assert(PoolManager::size_class_of(sizeof(C40)) !=
-                PoolManager::size_class_of(sizeof(A24)));
-  PoolManager::drain();
-  PoolManager::purge_thread_cache();
+  static_assert(EbrManager::size_class_of(sizeof(A24)) ==
+                EbrManager::size_class_of(sizeof(B32)));
+  static_assert(EbrManager::size_class_of(sizeof(C40)) !=
+                EbrManager::size_class_of(sizeof(A24)));
+  EbrManager::drain();
+  EbrManager::purge_thread_cache();
 
-  A24* a = PoolManager::alloc<A24>();
+  A24* a = EbrManager::alloc<A24>();
   const void* addr = a;
-  PoolManager::dealloc(a);
-  EXPECT_EQ(PoolManager::free_blocks(1), 1u);
+  EbrManager::dealloc(a);
+  EXPECT_EQ(EbrManager::free_blocks(1), 1u);
   // Same class, DIFFERENT type: the banked block comes straight back.
-  B32* b = PoolManager::alloc<B32>();
+  B32* b = EbrManager::alloc<B32>();
   EXPECT_EQ(static_cast<const void*>(b), addr)
       << "same-class alloc must reuse the banked block";
   // Different class: must NOT alias the class-1 block.
-  PoolManager::dealloc(b);
-  C40* c = PoolManager::alloc<C40>();
+  EbrManager::dealloc(b);
+  C40* c = EbrManager::alloc<C40>();
   EXPECT_NE(static_cast<const void*>(c), addr)
       << "cross-class reuse would hand out an undersized block";
-  PoolManager::dealloc(c);
-  EXPECT_EQ(PoolManager::free_blocks(1), 1u);
-  EXPECT_EQ(PoolManager::free_blocks(2), 1u);
-  EXPECT_GE(PoolManager::domain_stats().pooled, 2u)
+  EbrManager::dealloc(c);
+  EXPECT_EQ(EbrManager::free_blocks(1), 1u);
+  EXPECT_EQ(EbrManager::free_blocks(2), 1u);
+  EXPECT_GE(EbrManager::domain_stats().pooled, 2u)
       << "pool depth surfaces through domain_stats";
-  PoolManager::purge_thread_cache();
-  EXPECT_EQ(PoolManager::domain_stats().pooled, 0u);
+  EbrManager::purge_thread_cache();
+  EXPECT_EQ(EbrManager::domain_stats().pooled, 0u);
 }
 
 struct ChunkProbe {
@@ -411,7 +411,7 @@ struct ChunkProbe {
 std::atomic<int> ChunkProbe::destroyed{0};
 
 TEST(BufferedRetire, ParksBelowChunkAndDrainsToZero) {
-  PoolManager::drain();  // flush any pending from earlier tests
+  EbrManager::drain();  // flush any pending from earlier tests
   const int d0 = ChunkProbe::destroyed.load();
   const std::uint64_t out0 = Epoch::outstanding();
   ASSERT_EQ(out0, 0u);
@@ -419,19 +419,19 @@ TEST(BufferedRetire, ParksBelowChunkAndDrainsToZero) {
   // not yet published to limbo (that is the amortization), and certainly
   // not destroyed.
   for (int i = 0; i < 5; ++i) {
-    PoolManager::retire(PoolManager::alloc<ChunkProbe>());
+    EbrManager::retire(EbrManager::alloc<ChunkProbe>());
   }
   EXPECT_EQ(Epoch::outstanding(), 0u) << "sub-chunk retires stay buffered";
   EXPECT_EQ(ChunkProbe::destroyed.load(), d0);
   // Drain publishes this thread's pending and then frees: nothing may be
   // stranded in the buffer.
-  PoolManager::drain();
+  EbrManager::drain();
   EXPECT_EQ(ChunkProbe::destroyed.load(), d0 + 5);
   EXPECT_EQ(Epoch::outstanding(), 0u) << "drain-to-zero through the buffer";
 }
 
 TEST(BufferedRetire, PublishesInChunksOfKRetireChunk) {
-  PoolManager::drain();
+  EbrManager::drain();
   ASSERT_EQ(Epoch::outstanding(), 0u);
   const int d0 = ChunkProbe::destroyed.load();
   // One chunk plus a remainder: exactly one chunk leaves the buffer (one
@@ -441,13 +441,13 @@ TEST(BufferedRetire, PublishesInChunksOfKRetireChunk) {
   // destroyed.
   const std::size_t n = Epoch::kRetireChunk + 8;
   for (std::size_t i = 0; i < n; ++i) {
-    PoolManager::retire(PoolManager::alloc<ChunkProbe>());
+    EbrManager::retire(EbrManager::alloc<ChunkProbe>());
   }
   const std::uint64_t limbo = Epoch::outstanding();
   const auto freed = static_cast<std::uint64_t>(ChunkProbe::destroyed.load() - d0);
   EXPECT_EQ(limbo + freed, Epoch::kRetireChunk)
       << "exactly one chunk published, remainder parked";
-  PoolManager::drain();
+  EbrManager::drain();
   EXPECT_EQ(Epoch::outstanding(), 0u);
   EXPECT_EQ(ChunkProbe::destroyed.load() - d0, static_cast<int>(n));
 }

@@ -3,8 +3,7 @@
 // no red-red / no overweight after quiescence, weighted-path equality)
 // via consistency_error(), the O(log n) sequential-insert depth pinned
 // against the unbalanced BST's linear depth, deterministic rebalancing
-// shapes, a 4-thread locked-oracle stress, and a PoolManager
-// instantiation of the same stress.
+// shapes, and a 4-thread locked-oracle stress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,37 +190,6 @@ TEST(ChromaticStress, MatchesLockedOracleUnderContention) {
   Epoch::drain_all_for_testing();
   EXPECT_EQ(Epoch::outstanding(), 0u)
       << "all retired nodes/descriptors must drain once threads quiesce";
-}
-
-// The same churn through the PoolManager policy: rebalancing SCXs retire
-// whole rotation sections, so pooled reuse gets exercised hard; the
-// invariants must be indifferent to where node storage comes from.
-TEST(ChromaticStress, PoolManagerChurnKeepsInvariants) {
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kKeySpace = 128;
-
-  BasicLlxScxChromatic<PoolManager> t;
-  const std::uint64_t total_ops = testing::run_stress_workers(
-      kThreads, 4000,
-      [&](int, Xoshiro256& rng, const std::atomic<bool>& stop) {
-        std::uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::uint64_t key = 1 + rng.below(kKeySpace);
-          if (rng.percent(50)) {
-            t.insert(key, key * 7);
-          } else {
-            t.erase(key);
-          }
-          ++ops;
-        }
-        return ops;
-      });
-
-  EXPECT_GT(total_ops, 0u);
-  EXPECT_EQ(t.consistency_error(), std::nullopt);
-  for (const auto& [key, value] : t.items()) EXPECT_EQ(value, key * 7);
-  PoolManager::drain();
-  EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
 }  // namespace

@@ -19,12 +19,15 @@
 #include "util/barrier.h"
 #include "util/random.h"
 
-#if defined(__has_feature)
+// __SANITIZE_ADDRESS__ first: sanitizer headers (pulled in by
+// reclaim/record_manager.h under ASan) define a stub __has_feature(x) as 0
+// for GCC, which would hide ASan from the __has_feature branch.
+#if defined(__SANITIZE_ADDRESS__)
+#define LLXSCX_TEST_HAS_LSAN 1
+#elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define LLXSCX_TEST_HAS_LSAN 1
 #endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define LLXSCX_TEST_HAS_LSAN 1
 #endif
 #ifdef LLXSCX_TEST_HAS_LSAN
 #include <sanitizer/lsan_interface.h>

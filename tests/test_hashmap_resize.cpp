@@ -8,8 +8,8 @@
 //   2. the final map is exact (size, membership, per-key values),
 //   3. all superseded chains, markers, and bucket arrays drain to zero
 //      under EbrManager once quiescent.
-// A typed companion runs the same growth sequentially under EbrManager
-// AND PoolManager (the pool recycles every migrated node's storage).
+// A sequential companion runs the same growth single-threaded (the pool
+// recycles every migrated node's storage).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,18 +63,12 @@ void settle(Map& m) {
   }
 }
 
-using MapTypes = ::testing::Types<EbrManager, PoolManager>;
-
-template <typename Policy>
-class HashMapGrowth : public ::testing::Test {};
-TYPED_TEST_SUITE(HashMapGrowth, MapTypes);
-
-// Sequential growth from one bucket, under both reclamation policies:
-// exactness plus the chain bound after the dust settles.
-TYPED_TEST(HashMapGrowth, SingleBucketToHundredThousandKeys) {
+// Sequential growth from one bucket: exactness plus the chain bound after
+// the dust settles.
+TEST(HashMapGrowth, SingleBucketToHundredThousandKeys) {
   constexpr std::uint64_t kKeys = 100'000;
   {
-    BasicLlxScxHashMap<TypeParam> m(1);
+    BasicLlxScxHashMap<EbrManager> m(1);
     EXPECT_EQ(m.bucket_count(), 1u);
     for (std::uint64_t k = 1; k <= kKeys; ++k) {
       ASSERT_TRUE(m.upsert(k, k * 3));

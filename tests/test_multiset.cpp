@@ -131,12 +131,5 @@ TEST(Multiset, LeakyManagerPolicySameSemantics) {
   check_common_semantics<BasicLlxScxMultiset<LeakyManager>>();
 }
 
-// And PoolManager (per-thread node recycling over EBR) is semantically
-// indistinguishable too; reuse itself is pinned in test_record_manager.
-TEST(Multiset, PoolManagerPolicySameSemantics) {
-  check_common_semantics<BasicLlxScxMultiset<PoolManager>>();
-  Epoch::drain_all_for_testing();
-}
-
 }  // namespace
 }  // namespace llxscx
