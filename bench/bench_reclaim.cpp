@@ -7,12 +7,16 @@
 // multiset churn under each policy and reports throughput plus retained
 // garbage:
 //
-//   ebr   — the default: nodes and descriptors wait out the epoch grace
-//           period, then their storage is recycled through per-thread
+//   ebr   — the default: removed nodes wait out the epoch grace period,
+//           then their storage is recycled through per-thread
 //           size-classed free lists (pool hits are reported); garbage is
 //           bounded and drains to zero
-//   leaky — retire() drops nodes AND descriptors on the floor: footprint
-//           grows with every removal and every SCX
+//   leaky — retire() drops removed nodes on the floor: footprint grows
+//           with every removal
+//
+// Only nodes are at stake: SCX descriptors are per-thread and reused, so
+// no policy allocates, retires or leaks them. The allocs column counts
+// allocations through the policy.
 //
 // --json=<file> additionally emits the table as machine-readable JSON
 // (one object per row plus the build configuration), so successive PRs
@@ -69,13 +73,13 @@ CellResult run_cell(int threads) {
           return ops;
         });
     res.ops_per_sec = r.ops_per_sec();
-    res.allocations = r.steps.allocations;
   }
   Reclaim::drain();
   Reclaim::drain();
   // The drain above banks storage on this thread, but the per-worker
   // deltas are what the policy cost the measured phase.
   for (const ReclaimStats& s : rstats) {
+    res.allocations += s.allocs;
     res.pool_hits += s.pool_hits;
     res.leaked += s.leaked;
   }
@@ -108,7 +112,7 @@ bool run(const char* json_path) {
               bench::phase_millis(), kRelaxedOrders ? "relaxed" : "seq_cst");
   std::printf("claim: EBR drains garbage to zero and serves steady-state "
               "allocations from its per-thread pools; the leaky policy "
-              "leaks every retired node and descriptor\n\n");
+              "leaks every retired node\n\n");
 
   std::vector<CellResult> cells;
   bench::Table t({"threads", "mode", "ops/s", "allocs", "freed via EBR",
@@ -125,12 +129,11 @@ bool run(const char* json_path) {
                bench::fmt_u64(c.pool_hits), bench::fmt_u64(c.leaked)});
   }
   t.print();
-  std::printf("\nnote: 'leaky' rows free nothing: removed nodes and dead "
-              "descriptors are never destroyed (unbounded footprint in a "
-              "long-running process). 'ebr' drained blocks sit in "
-              "per-thread free lists and go back to the allocator at "
-              "thread exit. No descriptor chains exist: an SCX drops its "
-              "references to older descriptors once it is decided.\n");
+  std::printf("\nnote: 'leaky' rows free nothing: removed nodes are never "
+              "destroyed (unbounded footprint in a long-running process). "
+              "'ebr' drained blocks sit in per-thread free lists and go "
+              "back to the allocator at thread exit. SCX descriptors are "
+              "per-thread and reused, so neither policy sees them.\n");
   return json_path == nullptr || emit_json(json_path, cells);
 }
 

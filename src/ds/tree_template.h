@@ -171,14 +171,15 @@ class TreeTemplate {
   //   every interior node BEFORE reading its children, then VLX the whole
   //   witness set once at the end.
   //
-  // A witness is two acquire loads (the node's info field and the named
-  // descriptor's state) — NOT an LLX: nothing is linked for an SCX, no
-  // freeze, no CAS, no write, no allocation of records. A witness is only
-  // accepted if its descriptor is DECIDED (committed/aborted); an
-  // in-progress descriptor is helped to completion and the walk restarts.
-  // That decided-state check is what makes the final VLX sufficient:
+  // A witness is two acquire loads (the node's info tag and the tagged
+  // descriptor's state word) — NOT an LLX: nothing is linked for an SCX,
+  // no freeze, no CAS, no write, no allocation of records. A witness is
+  // only accepted if the tagged SCX is DECIDED (committed, aborted, or its
+  // descriptor's seq has moved on); an in-progress one is helped to
+  // completion and the walk restarts. That decided-state check is what
+  // makes the final VLX sufficient:
   //
-  //   · a decided descriptor performs no further field writes (committed ⇒
+  //   · a decided SCX performs no further field writes (committed ⇒
   //     its update-CAS already happened and fresh-value discipline keeps it
   //     from succeeding twice; aborted ⇒ some freeze failed, so no helper
   //     ever reaches the update-CAS), and
@@ -492,28 +493,17 @@ class TreeTemplate {
   // keys, ascending).
   void after_insert_all(const std::uint64_t*, std::size_t, Node*, Node*) {}
 
-  // Capture a VLX witness for interior node n: accept only a DECIDED
-  // descriptor (see range()); help an in-progress one and report failure
-  // so the caller restarts. Two instrumented acquire loads, no LLX.
-  static bool witness(const Node* n, std::vector<LinkedLlx>& w) {
-    Stats::count_read();
-    ScxRecord* info = n->info_.load(mo::acquire);
-    Stats::count_read();
-    if (info->state_.load(mo::acquire) == ScxRecord::kInProgress) {
-      detail_help(info);
-      return false;
-    }
-    w.push_back(LinkedLlx{const_cast<Node*>(n), info});
-    return true;
-  }
-
-  // range() helper: witness interior node n, then push its unpruned
-  // children right-to-left so the stack pops them in ascending key order.
-  // Returns false when the witness failed (caller restarts the walk).
+  // range() helper: witness interior node n (accepted only if its tag
+  // names a DECIDED SCX — see range()), then push its unpruned children
+  // right-to-left so the stack pops them in ascending key order. Returns
+  // false when the witness helped an in-progress SCX instead (caller
+  // restarts the walk).
   bool push_scan_children(const Node* n, std::uint64_t lo, std::uint64_t hi,
                           std::vector<LinkedLlx>& w,
                           std::vector<const Node*>& stack) const {
-    if (!witness(n, w)) return false;
+    const LinkedLlx l = witness(n);
+    if (l.rec == nullptr) return false;
+    w.push_back(l);
     for (std::size_t c = Node::kNumMut; c-- > 0;) {
       if (!Derived::scan_dir(n, c, lo, hi)) continue;  // immutable-field test
       if (const Node* child = read_child(n, c)) stack.push_back(child);

@@ -12,20 +12,21 @@
 //                       one update CAS (the k+1 CAS of claim C-A).
 //   VLX(V)            — validate-extended: k shared reads (claim C-C).
 //
-// Memory management: the paper assumes a garbage collector ("in other
-// languages, such as C++, memory management is an issue", §6). Here the
-// GC edges are made explicit: every SCX-record carries a reference count
-// covering (a) Data-records whose info pointer is installed on it and
-// (b) in-flight references held while an SCX is undecided — its
-// creator's, helpers' transient ones, and the info_fields entries of an
-// undecided SCX that name it. An SCX drops (b) as soon as it is decided,
-// so a committed descriptor pins no history. A descriptor whose count
-// drops to zero is retired through the reclamation policy that allocated
-// it (reclaim/record_manager.h); every policy's Guard pins the epoch,
-// which shields in-flight readers: any pointer loaded from a record's
-// info field while a Guard is held stays valid (possibly dead, but never
-// freed) until the guard drops — that is what makes using a displaced
-// descriptor as a freezing-CAS expected value ABA-safe.
+// Memory management: the paper allocates a fresh SCX-record per SCX and
+// leaves its lifetime to a garbage collector (§6). Here every thread owns
+// ONE immortal SCX-record and reuses it for every SCX it performs (after
+// Arbel-Raviv & Brown, "Reuse, Don't Recycle", DISC 2017). A record's
+// info field therefore holds a tag, not a pointer:
+//
+//   tag = (slot + 1) << kSeqBits | seq      (0 = never frozen)
+//
+// naming the descriptor slot and the sequence number of the SCX that
+// froze it. A descriptor's state word holds seq << 3 | allFrozen | state;
+// a new SCX bumps seq before it rewrites the operation fields (a seqlock
+// writer), so a helper copies the fields between two reads of the word
+// and stops if seq has moved on — that op is decided. Tags never recur,
+// so info-field equality is change detection with no help from
+// reclamation; epoch reclamation (reclaim/) covers Data-records only.
 //
 // Memory orders: every access uses the weakest order that preserves the
 // happens-before edge the Fig. 2/Fig. 4 proofs need, named in a comment
@@ -36,11 +37,16 @@
 // check the paper's step counts exactly.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
+#include <vector>
 
 #include "reclaim/record_manager.h"
 #include "util/memorder.h"
@@ -49,11 +55,16 @@
 namespace llxscx {
 
 class DataRecordBase;
-class ScxRecord;
 
-// SCX-record: the operation descriptor (paper Fig. 1). One is allocated per
-// SCX attempt and shared with helpers through the records it freezes.
-class ScxRecord {
+// What a record's info field holds: the tag of the SCX that last froze it
+// (layout in the header comment), or kNoScx if nothing ever did.
+using ScxTag = std::uint64_t;
+inline constexpr ScxTag kNoScx = 0;
+
+// SCX-record: the operation descriptor (paper Fig. 1). Each thread owns one
+// for its whole life and reuses it for every SCX it performs (ScxSlots
+// below); helpers reach it through the tags of the records it freezes.
+class alignas(64) ScxRecord {
  public:
   // V capacity. 16 covers every per-operation shape in ds/ (the widest is
   // the chromatic tree's k=5 rotations); the hash map's bucket-seal SCX
@@ -64,85 +75,124 @@ class ScxRecord {
   // runtime value, so the k+1-CAS / f+2-writes shapes are unaffected.
   static constexpr std::size_t kMaxV = 48;
 
-  enum State : int { kInProgress = 0, kCommitted = 1, kAborted = 2 };
+  // Live-thread bound: a tag's high bits hold slot + 1.
+  static constexpr std::size_t kMaxThreads = 1024;
+  static constexpr unsigned kSeqBits = 53;
+  static_assert(kMaxThreads < (std::uint64_t{1} << (64 - kSeqBits)));
 
-  ScxRecord() { Stats::count_alloc(); }
+  // The word's low bits. kDecided is never stored: it is what
+  // detail_state() reports for a tag whose seq has moved on — that SCX is
+  // decided, and LLX tells what it did from the record's mark (llx()).
+  enum State : int {
+    kInProgress = 0,
+    kCommitted = 1,
+    kAborted = 2,
+    kDecided = 3
+  };
+  static constexpr unsigned kStateBits = 3;
+  static constexpr std::uint64_t kStateMask = 3;
+  static constexpr std::uint64_t kAllFrozen = 4;
 
-  // Reference counting (the explicit GC edges). try_acquire refuses a
-  // descriptor already on its way to the epoch limbo list, so a reference
-  // can never resurrect one.
-  bool try_acquire() {
-    // relaxed/acq_rel: the count carries no payload — the descriptor's
-    // fields were already published to this thread by the acquire load of
-    // the info field that produced the pointer; the acq_rel CAS keeps the
-    // count's RMW chain intact for release() below.
-    std::uint64_t c = refs_.load(mo::relaxed);
-    while (c != 0) {
-      if (refs_.compare_exchange_weak(c, c + 1, mo::acq_rel, mo::relaxed)) {
-        return true;
-      }
-    }
-    return false;
+  static constexpr ScxTag tag(std::size_t slot, std::uint64_t seq) {
+    return (std::uint64_t{slot} + 1) << kSeqBits | seq;
   }
-  void release() {
-    // acq_rel (the shared_ptr edge): release orders this owner's last use
-    // of the descriptor before the decrement; acquire on the final
-    // decrement orders the retirement after every other owner's last use.
-    if (refs_.fetch_sub(1, mo::acq_rel) == 1) {
-      reclaim_retire_(this);
-    }
+  static constexpr std::uint64_t seq_of(ScxTag t) {
+    return t & ((std::uint64_t{1} << kSeqBits) - 1);
+  }
+  static constexpr std::size_t slot_of(ScxTag t) {
+    return static_cast<std::size_t>(t >> kSeqBits) - 1;
   }
 
-  // Operation fields — written once by the creating thread in scx() before
-  // the descriptor is published, read-only to helpers (except state_ /
-  // all_frozen_, which helpers write).
-  DataRecordBase* v_[kMaxV] = {};
-  ScxRecord* info_fields_[kMaxV] = {};
-  std::size_t k_ = 0;
-  std::uint64_t finalize_mask_ = 0;  // 64-bit: must index all of kMaxV
-  std::atomic<std::uint64_t>* fld_ = nullptr;
-  std::uint64_t old_ = 0;
-  std::uint64_t new_ = 0;
-  std::atomic<int> state_{kInProgress};
-  std::atomic<bool> all_frozen_{false};
-  // How a zero-reference descriptor is reclaimed: set (pre-publication) by
-  // the scx() that allocated it, to the retire() of that scx's policy.
-  // Plain pointer: written before the first freezing CAS publishes the
-  // descriptor.
-  void (*reclaim_retire_)(ScxRecord*) = nullptr;
+  // seq << kStateBits | allFrozen | state. Only the owner changes seq (a
+  // plain store: the bump that starts its next SCX); within one seq,
+  // helpers and the owner move allFrozen and state by CAS.
+  std::atomic<std::uint64_t> word_{0};
 
- private:
-  std::atomic<std::uint64_t> refs_{1};  // creator's reference
-
-  friend ScxRecord* detail_dummy_scx();
+  // The current seq's operation fields: written by the owner after the
+  // bump, copied by helpers between two reads of word_ (detail_help).
+  std::atomic<std::size_t> k_{0};
+  std::atomic<std::uint64_t> finalize_mask_{0};  // 64-bit: indexes all of kMaxV
+  std::atomic<std::atomic<std::uint64_t>*> fld_{nullptr};
+  std::atomic<std::uint64_t> old_{0};
+  std::atomic<std::uint64_t> new_{0};
+  std::atomic<DataRecordBase*> v_[kMaxV] = {};
+  std::atomic<ScxTag> info_fields_[kMaxV] = {};
 };
 
-// The initial descriptor every fresh Data-record points at (state Aborted =
-// "unfrozen"). Its reference count starts astronomically high so release()
-// can treat it uniformly and it still never reaches the limbo list.
-inline ScxRecord* detail_dummy_scx() {
-  static ScxRecord* d = [] {
-    auto* r = new ScxRecord;
-    r->state_.store(ScxRecord::kAborted, std::memory_order_relaxed);
-    r->refs_.store(std::uint64_t{1} << 62, std::memory_order_relaxed);
-    return r;
-  }();
-  return d;
-}
+// The descriptor registry: slot i's immortal SCX-record, and which slots
+// have a live owner. A thread takes a slot at its first SCX and hands it
+// back when it exits; the next owner continues the slot's seq, so tags
+// never recur. More than kMaxThreads live SCX-running threads abort.
+class ScxSlots {
+ public:
+  static ScxRecord& record(std::size_t slot) { return records_[slot]; }
+  // The descriptor a tag names (t != kNoScx).
+  static ScxRecord& of(ScxTag t) { return records_[ScxRecord::slot_of(t)]; }
+
+  // The calling thread's slot, taken on first use.
+  static std::size_t mine() {
+    thread_local const Owner owner;
+    return owner.slot;
+  }
+
+  // Slots ever handed out: the registry's high-water mark.
+  static std::size_t created() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    return r.created;
+  }
+
+ private:
+  struct Registry {
+    std::mutex mu;
+    std::vector<std::size_t> free;  // slots whose owner exited
+    std::size_t created = 0;
+  };
+  // Leaked: an Owner destructor may run during process teardown.
+  static Registry& registry() {
+    static Registry* r = new Registry;
+    return *r;
+  }
+
+  struct Owner {
+    std::size_t slot;
+    Owner() : slot(take()) {}
+    Owner(const Owner&) = delete;
+    Owner& operator=(const Owner&) = delete;
+    ~Owner() {
+      Registry& r = registry();
+      std::lock_guard<std::mutex> lock(r.mu);
+      r.free.push_back(slot);
+    }
+  };
+  static std::size_t take() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (!r.free.empty()) {
+      const std::size_t s = r.free.back();
+      r.free.pop_back();
+      return s;
+    }
+    if (r.created == ScxRecord::kMaxThreads) {
+      std::fprintf(stderr, "llxscx: more than %zu live threads run SCX\n",
+                   ScxRecord::kMaxThreads);
+      std::abort();
+    }
+    return r.created++;
+  }
+
+  // Zero-initialized, so untouched slots cost no resident memory.
+  static inline ScxRecord records_[ScxRecord::kMaxThreads];
+};
 
 // Non-template base so SCX-records and helpers handle records of any width.
 class DataRecordBase {
  public:
-  DataRecordBase() : info_(detail_dummy_scx()) { Stats::count_alloc(); }
-  ~DataRecordBase() {
-    // Quiescent by contract (the record is past its grace period or was
-    // never shared): drop the install edge to the current descriptor.
-    info_.load(std::memory_order_relaxed)->release();
-  }
+  DataRecordBase() { Stats::count_alloc(); }
   DataRecordBase(const DataRecordBase&) = delete;
   DataRecordBase& operator=(const DataRecordBase&) = delete;
 
-  std::atomic<ScxRecord*> info_;
+  std::atomic<ScxTag> info_{kNoScx};
   std::atomic<bool> marked_{false};
 };
 
@@ -160,13 +210,14 @@ class DataRecord : public DataRecordBase {
   mutable std::array<std::atomic<std::uint64_t>, NumMut> mut_ = {};
 };
 
-// What an LLX leaves behind for a later SCX/VLX: the record and the
-// descriptor witnessed in its info field (the paper's per-process table,
-// made explicit). Plain data — validity is covered by the caller's
-// Guard, which must span the LLX and the SCX/VLX that consumes it.
+// What an LLX leaves behind for a later SCX/VLX: the record and the tag
+// witnessed in its info field (the paper's per-process table, made
+// explicit). Plain data — the record's validity is covered by the
+// caller's Guard, which must span the LLX and the SCX/VLX that consumes
+// it.
 struct LinkedLlx {
   DataRecordBase* rec = nullptr;
-  ScxRecord* info = nullptr;
+  ScxTag info = kNoScx;
 };
 
 template <std::size_t NumMut>
@@ -204,93 +255,146 @@ class LlxResult {
   LinkedLlx link_;
 };
 
-// Help(U) — paper Fig. 3. Runs the freezing loop, then marks, updates fld,
-// and commits; any thread may execute it for any descriptor. Returns
-// whether U committed.
-inline bool detail_help(ScxRecord* u) {
-  for (std::size_t i = 0; i < u->k_; ++i) {
-    DataRecordBase* r = u->v_[i];
-    ScxRecord* exp = u->info_fields_[i];
-    ScxRecord* witnessed = exp;
-    // Count the install edge BEFORE attempting to create it: if the count
-    // could lag a won CAS (helper stalled between the two), every counted
-    // reference could drain meanwhile and retire a descriptor that r's
-    // info field still names — a dangling info pointer for any later LLX,
-    // and a resurrection once the stalled helper resumed. try_acquire
-    // failing means refs_ already hit zero, which implies u is decided
-    // (the creator's reference is held until then): just report the
-    // final state, there is no installing left to do.
-    if (!u->try_acquire()) {
-      return u->state_.load(mo::acquire) == ScxRecord::kCommitted;
-    }
+// The state of the SCX a tag names, from one read of its descriptor's
+// word: kInProgress, kCommitted or kAborted while that SCX is its
+// descriptor's current one, kDecided once the seq has moved on, and
+// kAborted for kNoScx (a never-frozen record is unfrozen).
+inline int detail_state(ScxTag t) {
+  if (t == kNoScx) return ScxRecord::kAborted;
+  // acquire: a Committed read makes the R-set marks visible (they precede
+  // the committing CAS's release); so does a moved-on seq, because the
+  // owner marks its R-set itself before its release bump.
+  const std::uint64_t w = ScxSlots::of(t).word_.load(mo::acquire);
+  return (w >> ScxRecord::kStateBits) == ScxRecord::seq_of(t)
+             ? static_cast<int>(w & ScxRecord::kStateMask)
+             : ScxRecord::kDecided;
+}
+
+// One SCX's operation fields: the owner passes its own, a helper a copy.
+struct ScxFields {
+  const LinkedLlx* v;
+  std::size_t k;
+  std::uint64_t finalize_mask;
+  std::atomic<std::uint64_t>* fld;
+  std::uint64_t old_val;
+  std::uint64_t new_val;
+};
+
+// Help(U) — paper Fig. 3, for the SCX ⟨d, seq⟩ (tag `tag`): runs the
+// freezing loop, then marks, updates fld, and commits. The allFrozen and
+// state writes are CASes conditioned on seq, so a helper running late —
+// its SCX decided and the descriptor reused — can never decide a newer
+// one. Returns whether the SCX committed as far as the caller learned:
+// the owner always learns the outcome; a helper that finds seq moved on
+// returns false.
+inline bool detail_run(ScxRecord& d, std::uint64_t seq, ScxTag tag,
+                       const ScxFields& u) {
+  const std::uint64_t in_progress = seq << ScxRecord::kStateBits;
+  const std::uint64_t all_frozen = in_progress | ScxRecord::kAllFrozen;
+  const auto frozen_all = [&](std::uint64_t w) {
+    return (w & ~ScxRecord::kStateMask) == all_frozen;
+  };
+  for (std::size_t i = 0; i < u.k; ++i) {
+    ScxTag witnessed = u.v[i].info;
     Stats::count_cas();  // freezing CAS (k of the k+1)
-    // acq_rel success: release publishes u's operation fields to any
+    // acq_rel success: release publishes the descriptor's fields to any
     // helper that acquire-loads r.info (the help handshake — transitively
-    // re-publishes them when a helper, not the creator, wins the install).
+    // re-publishes them when a helper, not the owner, wins the install).
     // acquire failure: the no-false-abort edge — a displacing SCX's
-    // install is itself ordered after u's decided state (its LLX
-    // acquire-read that state), so the committer's allFrozen store below
-    // is visible to the all_frozen_ load in this branch.
-    if (r->info_.compare_exchange_strong(witnessed, u, mo::acq_rel,
-                                         mo::acquire)) {
-      // We won the install for (u, r): r's edge transfers from exp to the
-      // reference pre-counted above.
-      exp->release();
-    } else if (witnessed == u) {
-      // Another helper already froze r for U: drop the speculative
-      // reference and keep going.
-      u->release();
-    } else {
-      // r is frozen for some other SCX. If U already has allFrozen set, a
-      // helper finished freezing before r moved on, so U committed: finish
-      // the commit phase below rather than return early. The mark stores,
-      // the update CAS and the Committed store are all idempotent, and
-      // this way detail_help returns only once U's state is decided —
-      // which scx() relies on to release U's info_fields_ references.
-      Stats::count_read();
-      // acquire: pairs with the committer's release store of all_frozen_
-      // (see the failure-order comment above for why it is visible).
-      if (u->all_frozen_.load(mo::acquire)) {
-        u->release();  // drop the speculative reference
-        break;
-      }
-      Stats::count_write();
-      // release: pairs with LLX's acquire state read — a reader that sees
-      // Aborted is ordered after this helper's failed freeze attempt.
-      u->state_.store(ScxRecord::kAborted, mo::release);
-      // Speculative reference dropped only after the last write to u —
-      // if it is the final one, u goes to the limbo list right here.
-      u->release();
-      return false;
+    // install is itself ordered after this SCX's decided state (its LLX
+    // acquire-read that state), so the allFrozen CAS is visible to the
+    // word load in this branch.
+    if (u.v[i].rec->info_.compare_exchange_strong(witnessed, tag, mo::acq_rel,
+                                                  mo::acquire) ||
+        witnessed == tag) {
+      continue;  // frozen for this SCX, by us or by another helper
     }
+    // r is frozen for some other SCX. If allFrozen is already set, a
+    // helper finished freezing before r moved on, so the SCX committed:
+    // finish the idempotent commit phase below rather than return early,
+    // so the owner returns only once the state is decided.
+    Stats::count_read();
+    // acquire: pairs with the allFrozen CAS's release (see the failure-
+    // order comment above for why it is visible).
+    std::uint64_t w = d.word_.load(mo::acquire);
+    if (frozen_all(w)) break;
+    Stats::count_write();
+    // release: pairs with LLX's acquire state read — a reader that sees
+    // Aborted is ordered after this helper's failed freeze attempt.
+    w = in_progress;
+    if (!d.word_.compare_exchange_strong(w, in_progress | ScxRecord::kAborted,
+                                         mo::release, mo::acquire) &&
+        frozen_all(w)) {
+      break;
+    }
+    return false;  // aborted, by us or by another helper, or seq moved on
   }
   Stats::count_write();
   // release: orders the k winning/witnessed freezing CASes before the flag
-  // — a helper that acquire-reads true may conclude "U committed".
-  u->all_frozen_.store(true, mo::release);
-  for (std::size_t i = 0; i < u->k_; ++i) {
-    if (u->finalize_mask_ & (std::uint64_t{1} << i)) {
+  // — a helper that acquire-reads it may conclude "committed".
+  std::uint64_t w = in_progress;
+  if (!d.word_.compare_exchange_strong(w, all_frozen, mo::release,
+                                       mo::acquire) &&
+      !frozen_all(w)) {
+    return false;  // aborted by another helper, or seq moved on
+  }
+  for (std::size_t i = 0; i < u.k; ++i) {
+    if (u.finalize_mask & (std::uint64_t{1} << i)) {
       Stats::count_write();
       // relaxed: the mark needs no edge of its own — it is ordered before
-      // the Committed state store by that store's release, which is the
-      // edge LLX's marked2 re-read consumes (Fig. 2's finalization gate).
-      u->v_[i]->marked_.store(true, mo::relaxed);
+      // the Committed CAS by that CAS's release (and, for the owner,
+      // before its next bump), which is the edge LLX's marked2 re-read
+      // consumes (Fig. 2's finalization gate).
+      u.v[i].rec->marked_.store(true, mo::relaxed);
     }
   }
-  std::uint64_t expected = u->old_;
+  std::uint64_t expected = u.old_val;
   Stats::count_cas();  // update CAS (the +1)
   // release success: publishes the fresh node's constructor writes before
   // its address becomes reachable (paired with the acquire traversal loads
   // in ds/ and LLX's acquire field loads). relaxed failure: a losing
   // helper learns nothing from fld's value.
-  u->fld_->compare_exchange_strong(expected, u->new_, mo::release,
-                                   mo::relaxed);
+  u.fld->compare_exchange_strong(expected, u.new_val, mo::release,
+                                 mo::relaxed);
   Stats::count_write();
   // release: orders the R-set mark stores (and the update CAS) before the
   // state — LLX's acquire read of Committed therefore sees the marks
   // (the marked2 proof) and traversals that re-read fld see the update.
-  u->state_.store(ScxRecord::kCommitted, mo::release);
+  // A failed CAS means another helper committed first, or the seq has
+  // moved on, which it does only after the commit.
+  w = all_frozen;
+  d.word_.compare_exchange_strong(w, all_frozen | ScxRecord::kCommitted,
+                                  mo::release, mo::relaxed);
   return true;
+}
+
+// Help a tagged SCX: copy its fields out of the descriptor between two
+// reads of the descriptor's word (the seqlock reader) and run Fig. 3 on
+// the copy. If seq has moved on at either read, the SCX is decided and
+// there is nothing to help.
+inline bool detail_help(ScxTag tag) {
+  ScxRecord& d = ScxSlots::of(tag);
+  const std::uint64_t seq = ScxRecord::seq_of(tag);
+  const auto current = [&](std::memory_order o) {
+    return (d.word_.load(o) >> ScxRecord::kStateBits) == seq;
+  };
+  if (!current(mo::acquire)) return false;
+  // acquire on every field: a copied value written by a newer SCX carries
+  // that SCX's bump (stored before it) to the re-read below.
+  const std::size_t k = std::min(d.k_.load(mo::acquire), ScxRecord::kMaxV);
+  LinkedLlx v[ScxRecord::kMaxV];
+  for (std::size_t i = 0; i < k; ++i) {
+    v[i] = {d.v_[i].load(mo::acquire), d.info_fields_[i].load(mo::acquire)};
+  }
+  const ScxFields u{v,
+                    k,
+                    d.finalize_mask_.load(mo::acquire),
+                    d.fld_.load(mo::acquire),
+                    d.old_.load(mo::acquire),
+                    d.new_.load(mo::acquire)};
+  // relaxed: the acquire loads above keep this re-read after them.
+  if (!current(mo::relaxed)) return false;
+  return detail_run(d, seq, tag, u);
 }
 
 // LLX(r) — paper Fig. 2.
@@ -298,8 +402,8 @@ inline bool detail_help(ScxRecord* u) {
 // Preconditions:
 //   - The caller holds a reclamation Guard, and keeps holding it
 //     (reentrant nesting is fine) until after any SCX/VLX that consumes
-//     the returned link. The guard is what keeps both r and the witnessed
-//     descriptor alive across that window.
+//     the returned link. The guard is what keeps r (and every record a
+//     helped SCX touches) allocated across that window.
 //   - r was reached through the structure under that same guard (root,
 //     or loaded from a field/LLX snapshot of a record so reached). A
 //     pointer cached from before the guard began may already be freed.
@@ -323,12 +427,12 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
   // the FINALIZED verdict depends on marked1 preceding the rinfo read.
   const bool marked1 = r->marked_.load(mo::acquire);
   // acquire: pairs with the freezing CAS's release install, making the
-  // descriptor's operation fields visible before rinfo is dereferenced.
-  ScxRecord* rinfo = r->info_.load(mo::acquire);
-  // acquire: a Committed read makes the R-set marks visible to marked2
-  // below (they precede the state's release store); it also opens the
+  // descriptor's operation fields visible before a helper copies them.
+  const ScxTag rinfo = r->info_.load(mo::acquire);
+  // acquire (inside detail_state): a Committed read, or a moved-on seq,
+  // makes the R-set marks visible to marked2 below; it also opens the
   // snapshot window — the field reads cannot move before it.
-  const int state = rinfo->state_.load(mo::acquire);
+  const int state = detail_state(rinfo);
   // Paper Fig. 2 reads the mark a SECOND time, after the state read, and
   // gates the snapshot on it. The re-read is load-bearing: Help() writes
   // the R-set marks after allFrozen but before state:=Committed, so a
@@ -338,11 +442,14 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
   // changes again) and commit a change hanging off a removed subtree —
   // e.g. double-retiring a node a tree delete already retired.
   // relaxed: ordered after the state read by its acquire; visibility of
-  // the marks comes from the state store's release (previous comment).
+  // the marks comes from that read (previous comment).
   const bool marked2 = r->marked_.load(mo::relaxed);
 
+  // kDecided reads like kCommitted: whatever the SCX did, r is unfrozen
+  // unless that SCX marked it — and a marked record's info never changes
+  // again, so a mark means rinfo names the committed SCX that set it.
   if (state == ScxRecord::kAborted ||
-      (state == ScxRecord::kCommitted && !marked2)) {
+      (state != ScxRecord::kInProgress && !marked2)) {
     // r was unfrozen at the read of state: snapshot the mutable fields and
     // confirm no SCX intervened.
     std::array<std::uint64_t, NumMut> f;
@@ -357,8 +464,8 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
     Stats::count_read(NumMut + 1);
     // relaxed: the acquire field loads above keep this re-read last; info
     // equality over the window proves no freeze (hence no field write)
-    // intervened — descriptor addresses cannot recur under our Guard, so
-    // pointer equality is change-detection, not ABA roulette.
+    // intervened — tags never recur, so equality is change detection, not
+    // ABA roulette.
     if (r->info_.load(mo::relaxed) == rinfo) {
       return LlxResult<NumMut>::ok(
           f, LinkedLlx{const_cast<DataRecord<NumMut>*>(r), rinfo});
@@ -368,22 +475,22 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
   // r is (or was) frozen. If its freezer finalized it, report FINALIZED;
   // otherwise help whoever holds it and report FAIL. FINALIZED uses the
   // FIRST mark read (Fig. 2 line 8): marked1 was set before rinfo was
-  // read, so the finalizing descriptor is rinfo itself (or earlier) and
-  // its commit is what justifies the verdict. The marked1-false/
-  // marked2-true race therefore reports FAIL, and the caller's retry
-  // sees FINALIZED.
-  bool committed = state == ScxRecord::kCommitted;
+  // read, so the finalizing SCX is rinfo itself and its commit is what
+  // justifies the verdict. The marked1-false/marked2-true race therefore
+  // reports FAIL, and the caller's retry sees FINALIZED.
+  bool committed =
+      state == ScxRecord::kCommitted || state == ScxRecord::kDecided;
   if (state == ScxRecord::kInProgress) {
     Stats::helped();
     committed = detail_help(rinfo);
   }
   if (committed && marked1) return LlxResult<NumMut>::finalized();
 
-  // acquire ×2: same install/decide edges as above — the helper must see
-  // the current freezer's operation fields before running Help on it.
-  ScxRecord* cur = r->info_.load(mo::acquire);
+  // acquire (and detail_state's): same install/decide edges as above —
+  // the helper must see the current freezer's fields before copying them.
+  const ScxTag cur = r->info_.load(mo::acquire);
   Stats::count_read(2);
-  if (cur->state_.load(mo::acquire) == ScxRecord::kInProgress) {
+  if (detail_state(cur) == ScxRecord::kInProgress) {
     Stats::helped();
     detail_help(cur);
   }
@@ -396,9 +503,10 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
 // finalizes the records selected by `finalize_mask`. A false return wrote
 // nothing (any freezes it won were undone by helpers observing the abort).
 //
-// The Reclaim policy supplies the descriptor's storage and its eventual
-// retirement path through its ordinary alloc/retire/dealloc
-// (reclaim/record_manager.h).
+// The paper's "new SCX-record" is a fresh seq of this thread's descriptor:
+// nothing is allocated or retired, so the policy parameter is unused and
+// stays only so policy-bound callers compile unchanged. Stats still
+// counts one allocation per SCX, the paper's step model.
 //
 // Preconditions (the paper's §3 constraints plus this repo's memory rules):
 //   - v[0..k) are links from THIS thread's LLXs, all taken and still
@@ -420,45 +528,37 @@ bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
          std::uint64_t new_val) {
   assert(k >= 1 && k <= ScxRecord::kMaxV);
   Stats::scx_call();
-  ScxRecord* u = Reclaim::template alloc<ScxRecord>();
-  u->reclaim_retire_ = [](ScxRecord* d) {
-    Reclaim::template retire<ScxRecord>(d);
-  };
-  u->k_ = k;
-  u->finalize_mask_ = finalize_mask;
-  u->fld_ = fld;
-  u->old_ = old_val;
-  u->new_ = new_val;
+  Stats::count_alloc();  // the paper's new SCX-record
+  const std::size_t slot = ScxSlots::mine();
+  ScxRecord& d = ScxSlots::record(slot);
+  // relaxed: only this thread changes seq, and its last bump (or the
+  // previous owner's, handed over with the slot) is visible to it.
+  const std::uint64_t seq =
+      (d.word_.load(mo::relaxed) >> ScxRecord::kStateBits) + 1;
+  // The seqlock writer's bump, before any field store. release: carries
+  // this thread's marks for its previous SCX to an LLX that reads the
+  // moved-on seq; and every field store below is a release store after
+  // it, so a helper that copies a new field value also sees the bump.
+  d.word_.store(seq << ScxRecord::kStateBits, mo::release);
+  d.k_.store(k, mo::release);
+  d.finalize_mask_.store(finalize_mask, mo::release);
+  d.fld_.store(fld, mo::release);
+  d.old_.store(old_val, mo::release);
+  d.new_.store(new_val, mo::release);
   for (std::size_t i = 0; i < k; ++i) {
-    u->v_[i] = v[i].rec;
-    u->info_fields_[i] = v[i].info;
-    if (!v[i].info->try_acquire()) {
-      // v[i].info already hit zero references, so v[i].rec has been
-      // re-frozen since the LLX: this SCX must fail. u was never
-      // published, so it can be reclaimed in place once the references
-      // acquired so far are released.
-      for (std::size_t j = 0; j < i; ++j) u->info_fields_[j]->release();
-      Reclaim::template dealloc<ScxRecord>(u);
-      Stats::scx_failed();
-      return false;
-    }
+    d.v_[i].store(v[i].rec, mo::release);
+    d.info_fields_[i].store(v[i].info, mo::release);
   }
-  const bool ok = detail_help(u);
-  // u is decided now (detail_help returns only then), so its expected
-  // values are dead weight: release them, and a committed descriptor pins
-  // no history. Helpers still inside detail_help(u) stay safe: each one
-  // saw u in progress under its guard, before this release, so any
-  // descriptor it releases is retired after that guard began and EBR
-  // keeps its address from recurring until the guard drops (DESIGN.md §2).
-  for (std::size_t i = 0; i < k; ++i) u->info_fields_[i]->release();
-  u->release();  // creator's reference
+  const bool ok =
+      detail_run(d, seq, ScxRecord::tag(slot, seq),
+                 ScxFields{v, k, finalize_mask, fld, old_val, new_val});
   if (!ok) Stats::scx_failed();
   return ok;
 }
 
 // VLX(V) — k shared reads (claim C-C): each record is unchanged since its
-// LLX iff its info field still names the linked descriptor. Same
-// preconditions as scx(): same-thread links, one continuous Guard.
+// LLX iff its info field still holds the linked tag. Same preconditions
+// as scx(): same-thread links, one continuous Guard.
 inline bool vlx(const LinkedLlx* v, std::size_t k) {
   for (std::size_t i = 0; i < k; ++i) {
     Stats::count_read();
@@ -472,6 +572,20 @@ inline bool vlx(const LinkedLlx* v, std::size_t k) {
     }
   }
   return true;
+}
+
+// The range scan's VLX witness for r (ds/tree_template.h range()): two
+// reads, no LLX. Returns ⟨r, info(r)⟩ if the SCX its tag names is decided
+// (a moved-on seq is); helps an in-progress one and returns an empty link
+// so the caller restarts.
+inline LinkedLlx witness(const DataRecordBase* r) {
+  Stats::count_read(2);
+  const ScxTag info = r->info_.load(mo::acquire);
+  if (detail_state(info) == ScxRecord::kInProgress) {
+    detail_help(info);
+    return {};
+  }
+  return {const_cast<DataRecordBase*>(r), info};
 }
 
 // Retire a removed Data-record that was allocated with plain `new`: epoch
@@ -489,11 +603,11 @@ void retire_record(T* r) {
 }
 
 // LlxScxDomain<Reclaim> — the primitives bound to one reclamation policy
-// (the tentpole seam: structures and the ScxOp builder go through this,
-// so swapping EbrManager/LeakyManager touches no structure code). The
-// llx/scx/vlx algorithms are policy-independent; what the domain routes is
-// every allocation and every retirement: Data-records via
-// make_record/retire_record/reclaim_now, descriptors inside scx().
+// (the seam structures and the ScxOp builder go through, so swapping
+// EbrManager/LeakyManager touches no structure code). The llx/scx/vlx
+// algorithms are policy-independent; what the domain routes is every
+// Data-record allocation and retirement, via
+// make_record/retire_record/reclaim_now.
 template <class Reclaim = EbrManager>
 struct LlxScxDomain {
   static_assert(RecordManager<Reclaim>);

@@ -3,10 +3,11 @@
 // The paper's implementation leans on a garbage collector ("in other
 // languages, such as C++, memory management is an issue" — §6). This repo
 // substitutes classic EBR: threads pin the global epoch while they may hold
-// references into a structure; removed Data-records and displaced
-// SCX-records go onto per-thread limbo lists stamped with an epoch no
-// earlier than their retirement, and a node is freed once every pinned
-// thread holds a reservation strictly newer than that stamp.
+// references into a structure; removed Data-records go onto per-thread
+// limbo lists stamped with an epoch no earlier than their retirement, and
+// a node is freed once every pinned thread holds a reservation strictly
+// newer than that stamp. SCX-records never come here: each thread reuses
+// one immortal descriptor (llxscx/llx_scx.h).
 //
 // Guards are reentrant (the multiset takes one per operation, and benches
 // often hold an outer one around a batch); only the outermost guard
@@ -169,9 +170,9 @@ class Epoch {
   // Preconditions: p is unreachable from the structure's roots (no NEW
   // guard can find it), and exactly one thread retires it, exactly once.
   // The caller may still hold a guard — retirement is about future
-  // readers, not the current one. Deleters may themselves retire (a
-  // Data-record releasing its descriptor); nested scans are suppressed,
-  // not recursive.
+  // readers, not the current one. Deleters may themselves retire (no
+  // structure here does, but the mechanism allows it); nested scans are
+  // suppressed, not recursive.
   //
   // Retirees park in a small per-(thread, domain) pending buffer and are
   // published to the limbo list in chunks of kRetireChunk: one epoch
@@ -201,10 +202,10 @@ class Epoch {
 
   // Free every node in the current domain whose grace period has elapsed,
   // advancing the epoch as needed. With no live guards on the domain this
-  // empties all its limbo lists (freeing a node may retire further nodes —
-  // e.g. a Data-record releasing its SCX-record — so it loops to a fixed
-  // point). Test/bench teardown only: it walks every thread record, so it
-  // must not race with concurrent retire-heavy work on the same domain.
+  // empties all its limbo lists (a deleter may retire further nodes, so it
+  // loops to a fixed point). Test/bench teardown only: it walks every
+  // thread record, so it must not race with concurrent retire-heavy work
+  // on the same domain.
   static void drain_all_for_testing() { drain_state(current_state()); }
 
   static std::uint64_t total_freed() {
@@ -390,9 +391,8 @@ class Epoch {
   }
 
   static void drain_state(State& s) {
-    // Deleters may re-enter retire() (descriptor chains); scope the drained
-    // domain so those retires land back in `s`, not the caller's current
-    // domain.
+    // A deleter may re-enter retire(); scope the drained domain so such
+    // retires land back in `s`, not the caller's current domain.
     State*& cur = tls_state();
     State* prev = cur;
     cur = &s;

@@ -12,7 +12,7 @@
 //
 //   M::Guard            RAII read reservation. Every manager here uses
 //                       Epoch::Guard — even the leaky one — because
-//                       helpers dereference SCX descriptors under it. A
+//                       helpers touch other threads' V-records under it. A
 //                       guard pins the epoch for EVERY thread's limbo, so
 //                       long-running walks (a whole-table size() or
 //                       occupancy scan) must re-enter a fresh Guard per
@@ -42,10 +42,9 @@
 //                       (DESIGN.md §12) report per-shard reclamation and
 //                       the tests assert shard independence.
 //
-// SCX descriptors ride the same alloc/retire/dealloc as Data-records:
-// scx() allocates its ScxRecord through the policy, a descriptor whose
-// last reference drops is retired through it, and an SCX that fails
-// before publishing its descriptor deallocates it.
+// SCX descriptors never pass through a policy: each thread reuses one
+// immortal ScxRecord (llxscx/llx_scx.h), so a policy manages Data-records
+// only.
 //
 // The contract a policy must honor for the LLX/SCX proofs to survive is
 // written out in DESIGN.md §10; the short form: an address handed to
@@ -146,17 +145,16 @@ concept RecordManager = requires(int* p) {
 // what the LLX/SCX proofs consume), but when the grace period elapses the
 // storage goes to a per-thread free list instead of the allocator, and
 // alloc() placement-news into a recycled block when one is available.
-// Node and descriptor churn (every SCX replaces nodes by design) then
-// stops paying malloc/free on the steady state.
+// Node churn (every SCX replaces nodes by design) then stops paying
+// malloc/free on the steady state.
 //
 // Lists are keyed by SIZE CLASS, not by type (DESIGN.md §14): 16-byte
-// steps up to 256 bytes, then power-of-two classes up to 16 KiB (wide
-// enough for a full kMaxV=48 SCX descriptor). A block allocated for any
-// type in a class can be reused by any other type in that class — BST
-// internal nodes recycle into Patricia leaves, retired descriptors into
-// hashmap chain nodes — so mixed-structure churn shares one pool instead
-// of fragmenting across per-type lists. Types larger than the biggest
-// class fall back to plain new/delete (still grace-deferred).
+// steps up to 256 bytes, then power-of-two classes up to 16 KiB. A block
+// allocated for any type in a class can be reused by any other type in
+// that class — BST internal nodes recycle into Patricia leaves — so
+// mixed-structure churn shares one pool instead of fragmenting across
+// per-type lists. Types larger than the biggest class fall back to
+// plain new/delete (still grace-deferred).
 //
 // The reuse is exactly as safe as delete-then-malloc reuse: a block only
 // reaches the pool after the same grace period that would have preceded
@@ -303,12 +301,13 @@ struct EbrManager {
 
 // --- LeakyManager: the no-free baseline (E8's ablation) -----------------
 //
-// retire() drops the node on the floor — Data-records and SCX descriptors
-// alike — so a long-running process grows without bound; the point of
-// the ablation is to measure what that buys. The §3 usage assumption (a
-// retired address never re-enters a mutable field) holds trivially:
-// leaked addresses are never recycled. Guards are still epoch guards, so
-// swapping the policy changes no guard behaviour in structure code.
+// retire() drops the node on the floor (nodes only: there are no
+// descriptors to leak), so a long-running process grows without bound;
+// the point of the ablation is to measure what that buys. The §3 usage
+// assumption (a retired address never re-enters a mutable field) holds
+// trivially: leaked addresses are never recycled. Guards are still epoch
+// guards, so swapping the policy changes no guard behaviour in structure
+// code.
 struct LeakyManager {
   static constexpr const char* kName = "leaky";
   using Guard = Epoch::Guard;

@@ -32,7 +32,9 @@ struct StepCounts {
   std::uint64_t cas = 0;         // single-word CAS attempts
   std::uint64_t shared_reads = 0;
   std::uint64_t shared_writes = 0;  // plain (non-CAS) shared writes
-  std::uint64_t allocations = 0;    // Data-records + descriptors constructed
+  // Data-records constructed plus one per SCX: the paper's "new
+  // SCX-record", which is a fresh seq of the thread's reused descriptor.
+  std::uint64_t allocations = 0;
 
   StepCounts& operator+=(const StepCounts& o) {
     llx_calls += o.llx_calls;

@@ -1,10 +1,14 @@
-// Single-thread (plus one helping-correctness) unit tests pinning down the
-// LLX/SCX invariants listed in DESIGN.md §7: snapshot semantics, commit,
-// FINALIZED, conflict failure, VLX, and the paper's uncontended step
-// counts (claim C-A).
+// Single-thread (plus helping-correctness and thread-slot) unit tests
+// pinning down the LLX/SCX invariants listed in DESIGN.md §7: snapshot
+// semantics, commit, FINALIZED, conflict failure, VLX, the paper's
+// uncontended step counts (claim C-A), and the per-thread descriptor's
+// stale tags and slot reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -137,6 +141,128 @@ TEST(LlxScx, UncontendedScxStepCountsMatchClaimCA) {
   EXPECT_EQ(d.cas, static_cast<std::uint64_t>(k + 1));
   EXPECT_EQ(d.shared_writes, static_cast<std::uint64_t>(f + 2));
   for (auto* r : recs) retire_record(r);
+}
+
+// Each thread reuses one SCX-record, so the tag an SCX leaves in a
+// record's info field outlives the SCX: once the thread runs more SCXs,
+// the tag's seq has moved on, and the tag names a decided SCX.
+TEST(LlxScx, StaleTagsNameDecidedScxs) {
+  Epoch::Guard g;
+  // A committed SCX over {p, q} that finalizes q.
+  Rec p(1, 2), q(3, 4);
+  const auto lp = llx(&p);
+  const auto lq = llx(&q);
+  ASSERT_TRUE(lp.ok() && lq.ok());
+  const LinkedLlx vc[2] = {lp.link(), lq.link()};
+  ASSERT_TRUE(scx(vc, 2, /*finalize q=*/0b10, &p.mut(0), 1, 5));
+  const ScxTag committed = p.info_.load();
+  ASSERT_EQ(q.info_.load(), committed);
+
+  // An aborted SCX over {a, x, y}: x changed after its LLX, so the SCX
+  // freezes a, fails at x and never reaches y.
+  Rec a(0, 0), x(0, 0), y(0, 0);
+  const auto la = llx(&a);
+  const auto lx = llx(&x);
+  const auto ly = llx(&y);
+  ASSERT_TRUE(la.ok() && lx.ok() && ly.ok());
+  {
+    const auto lx2 = llx(&x);
+    const LinkedLlx v[1] = {lx2.link()};
+    ASSERT_TRUE(scx(v, 1, 0, &x.mut(0), 0, 1));
+  }
+  const LinkedLlx va[3] = {la.link(), lx.link(), ly.link()};
+  ASSERT_FALSE(scx(va, 3, 0, &a.mut(0), 0, 9));
+  const ScxTag aborted = a.info_.load();
+  ASSERT_NE(aborted, la.link().info) << "a was frozen for the aborted SCX";
+  ASSERT_EQ(y.info_.load(), ly.link().info) << "y was never reached";
+
+  // More SCXs by this thread move its descriptor's seq on.
+  Rec c(0, 0);
+  for (int i = 0; i < 3; ++i) {
+    const auto l = llx(&c);
+    const LinkedLlx v[1] = {l.link()};
+    ASSERT_TRUE(scx(v, 1, 0, &c.mut(0), l.field(0), l.field(0) + 1));
+  }
+  EXPECT_EQ(detail_state(committed), ScxRecord::kDecided);
+  EXPECT_EQ(detail_state(aborted), ScxRecord::kDecided);
+
+  // LLX of unmarked records still tagged by the old SCXs: snapshots.
+  const auto lp2 = llx(&p);
+  ASSERT_TRUE(lp2.ok());
+  EXPECT_EQ(lp2.field(0), 5u);
+  EXPECT_EQ(lp2.field(1), 2u);
+  EXPECT_EQ(lp2.link().info, committed);
+  const auto la2 = llx(&a);
+  ASSERT_TRUE(la2.ok());
+  EXPECT_EQ(la2.link().info, aborted);
+  // LLX of the record the committed SCX finalized: FINALIZED.
+  EXPECT_TRUE(llx(&q).is_finalized());
+  // VLX and the range witness accept the old tags.
+  const LinkedLlx vp[2] = {lp2.link(), la2.link()};
+  EXPECT_TRUE(vlx(vp, 2));
+  const LinkedLlx w = witness(&p);
+  EXPECT_EQ(w.rec, &p);
+  EXPECT_EQ(w.info, committed);
+  EXPECT_EQ(witness(&a).info, aborted);
+
+  // Helping an old tag changes no field, mark or info field — even with
+  // the descriptor caught as its owner leaves it between the bump and the
+  // first freeze of a newer SCX, whose fields would freeze y and write its
+  // fld if a helper ran them under the old tag.
+  ScxRecord& d = ScxSlots::record(ScxSlots::mine());
+  const std::uint64_t next =
+      (d.word_.load() >> ScxRecord::kStateBits) + 1;
+  d.word_.store(next << ScxRecord::kStateBits);
+  d.k_.store(1);
+  d.finalize_mask_.store(0);
+  d.fld_.store(&y.mut(0));
+  d.old_.store(0);
+  d.new_.store(7);
+  d.v_[0].store(&y);
+  d.info_fields_[0].store(y.info_.load());
+  const auto state_of = [](const Rec& r) {
+    return std::array<std::uint64_t, 4>{r.mut(0).load(), r.mut(1).load(),
+                                        r.info_.load(), r.marked_.load()};
+  };
+  const Rec* recs[] = {&p, &q, &a, &x, &y, &c};
+  std::vector<std::array<std::uint64_t, 4>> before;
+  for (const Rec* r : recs) before.push_back(state_of(*r));
+  EXPECT_FALSE(detail_help(committed));
+  EXPECT_FALSE(detail_help(aborted));
+  for (std::size_t i = 0; i < std::size(recs); ++i) {
+    EXPECT_EQ(state_of(*recs[i]), before[i]) << "record " << i;
+  }
+}
+
+// A thread that exits hands its descriptor slot back, and the next owner
+// continues the slot's seq: threads run strictly one after another (each
+// joined before the next starts) leave distinct tags and grow the
+// registry by at most one slot.
+TEST(LlxScx, ExitedThreadsSlotsAreReusedWithFreshTags) {
+  constexpr int kThreads = 32;
+  constexpr int kScxsEach = 4;
+  Rec r(0, 0);
+  const std::size_t slots_before = ScxSlots::created();
+  std::vector<ScxTag> tags;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread th([&] {
+      for (int i = 0; i < kScxsEach; ++i) {
+        Epoch::Guard g;
+        const auto l = llx(&r);
+        ASSERT_TRUE(l.ok());
+        const LinkedLlx v[1] = {l.link()};
+        ASSERT_TRUE(scx(v, 1, 0, &r.mut(0), l.field(0), l.field(0) + 1));
+        tags.push_back(r.info_.load());
+      }
+    });
+    th.join();
+  }
+  EXPECT_EQ(r.mut(0).load(), std::uint64_t{kThreads * kScxsEach});
+  ASSERT_EQ(tags.size(), std::size_t{kThreads * kScxsEach});
+  std::sort(tags.begin(), tags.end());
+  EXPECT_EQ(std::adjacent_find(tags.begin(), tags.end()), tags.end())
+      << "a tag recurred";
+  EXPECT_LE(ScxSlots::created(), slots_before + 1);
 }
 
 // Two threads hammering increments on the same record through LLX/SCX:

@@ -3,8 +3,9 @@
 // on — alloc constructs, dealloc destroys immediately, retire destroys
 // exactly once after a drain (or never, for the leaky policy, whose drop
 // is itself pinned), pooled storage is observably reused — plus the
-// bounded-history check: once drained, SCX churn on a few live records
-// leaves only those records and their last descriptors behind.
+// checks that SCX descriptors never pass through the policy: an update
+// allocates only its fresh nodes, and once drained, SCX churn on a few
+// live records leaves only those records behind.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "ds/bst_llxscx.h"
 #include "ds/chromatic_llxscx.h"
 #include "ds/hashmap_llxscx.h"
 #include "reclaim/record_manager.h"
@@ -223,10 +225,26 @@ TEST(EbrManagerWalks, OccupancyWalkDoesNotBlockAnotherThreadsDrain) {
   EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
-// An SCX's references to its V-records' previous descriptors end when the
-// SCX is decided, so a record that SCXs keep re-freezing pins no chain of
-// older descriptors: after a drain, everything these churns allocated has
-// been retired except the live records and their last descriptors.
+// Each thread reuses one SCX-record for all its SCXs, so an update
+// allocates through the policy only the nodes it installs. A BST insert
+// builds three (the new internal node, the new leaf and a copy of the
+// displaced leaf), an erase one (a copy of the sibling). With a descriptor
+// per SCX these read 4 and 2.
+TEST(EbrManager, UpdatesAllocateOnlyTheirNodes) {
+  BasicLlxScxBst<EbrManager> t;
+  ASSERT_TRUE(t.insert(10, 1));
+  ASSERT_TRUE(t.insert(30, 3));
+  ReclaimStats before = EbrManager::stats();
+  ASSERT_TRUE(t.insert(20, 2));
+  EXPECT_EQ((EbrManager::stats() - before).allocs, 3u) << "insert";
+  before = EbrManager::stats();
+  ASSERT_TRUE(t.erase(20));
+  EXPECT_EQ((EbrManager::stats() - before).allocs, 1u) << "erase";
+}
+
+// SCX descriptors are never allocated or retired, so a record that SCXs
+// keep re-freezing pins nothing: after a drain, everything these churns
+// allocated has been retired except the live records.
 TEST(EbrManager, DrainLeavesNoDescriptorHistory) {
   constexpr int kOps = 10'000;
   constexpr std::uint64_t kLiveSlack = 64;
