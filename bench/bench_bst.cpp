@@ -17,8 +17,8 @@
 //              seq vs seq-bulk row pair is the committed grow-phase
 //              comparison E13 pins.
 //   scan     — VLX-validated 100-key range() windows over a dense prefill
-//              (0 LLX / 0 CAS / 0 writes per clean attempt) — the E13
-//              ordered-scan column.
+//              inserted in shuffled order (0 LLX / 0 CAS / 0 writes per
+//              clean attempt) — the E13 ordered-scan column.
 //
 // --json=<file> emits the grid as machine-readable JSON (one object per
 // cell plus the build configuration) so successive PRs can track the
@@ -181,7 +181,10 @@ CellResult run_seq_bulk(const char* name, int threads) {
 }
 
 // VLX-validated range scans over a dense prefill: every window returns
-// 100 elements, so ops/s is whole-window scans per second.
+// 100 elements, so ops/s is whole-window scans per second. The prefill
+// inserts 1..key_range in a seeded shuffled order, so the unbalanced BST
+// gets its expected O(log n) depth instead of the ascending-order chain
+// (the seq rows measure that chain on purpose; a scan row should not).
 template <typename MapT>
 CellResult run_scan(const char* name, int threads, std::uint64_t key_range) {
   constexpr std::uint64_t kSpan = 100;
@@ -192,7 +195,15 @@ CellResult run_scan(const char* name, int threads, std::uint64_t key_range) {
   res.update_pct = 0;
   res.key_range = key_range;
   MapT map;
-  for (std::uint64_t k = 1; k <= key_range; ++k) map.insert(k, k);
+  {
+    std::vector<std::uint64_t> keys(key_range);
+    for (std::uint64_t i = 0; i < key_range; ++i) keys[i] = i + 1;
+    Xoshiro256 rng(0x5CA7);
+    for (std::uint64_t i = key_range - 1; i > 0; --i) {  // Fisher–Yates
+      std::swap(keys[i], keys[rng.below(i + 1)]);
+    }
+    for (const std::uint64_t k : keys) map.insert(k, k);
+  }
   const auto r = bench::run_phase(
       threads, [&](int t, const std::atomic<bool>& stop) -> std::uint64_t {
         Xoshiro256 rng(300 + t);
@@ -297,9 +308,11 @@ bool run(const char* json_path) {
               "overhead remains; its win shows up under parallel grow.\n");
 
   std::printf("\nrange-scan stream: VLX-validated 100-key windows over a "
-              "dense 100k-key prefill — 0 LLX / 0 CAS / 0 shared writes "
-              "per clean attempt (test_range pins the step counts)\n");
-  bench::Table sct({"threads", "structure", "scans/s", "keys"});
+              "dense 100k-key prefill inserted in shuffled order — 0 LLX / "
+              "0 CAS / 0 shared writes per clean attempt (test_range pins "
+              "the step counts)\n");
+  bench::Table sct({"threads", "structure", "scans/s", "keys", "avg depth",
+                    "max depth"});
   for (int threads : bench::thread_grid({1, 4})) {
     const CellResult row[] = {
         run_scan<LlxScxBst>("bst", threads, 100000),
@@ -309,7 +322,8 @@ bool run(const char* json_path) {
     for (const CellResult& r : row) {
       sct.add_row({std::to_string(threads), r.structure,
                    bench::fmt(r.ops_per_sec / 1e3, 1) + "K",
-                   bench::fmt_u64(r.key_range)});
+                   bench::fmt_u64(r.key_range), bench::fmt(r.avg_depth, 1),
+                   bench::fmt_u64(r.max_depth)});
       cells.push_back(r);
     }
   }

@@ -20,9 +20,8 @@
 namespace llxscx {
 namespace {
 
-// E9's subjects all satisfy the unified container contract (DESIGN.md §9).
-static_assert(LlxScxContainer<LlxScxStack>);
-static_assert(LlxScxContainer<LlxScxQueue>);
+// The hash map is a key-value engine (DESIGN.md §9); the stack and queue
+// are driven through their own push/pop and enqueue/dequeue verbs.
 static_assert(LlxScxContainer<LlxScxHashMap>);
 
 class LockedStack {

@@ -7,13 +7,16 @@
 // regimes, with per-op-type sampled latency percentiles next to the
 // throughput number. This is the harness every future perf PR (range
 // scans, new RecordManager backends, shard batching) gets measured on,
-// so its JSON is ONE consolidated BENCH_workload.json per run.
+// so its JSON is ONE consolidated BENCH_workload.json per run. It is also
+// the one service-layer bench: the hash map's growth is every grow phase,
+// and sharded-vs-single under contention is the hot-set regime's churn
+// phase on llxscx-hashmap and sharded+llxscx-hashmap at each --batch.
 //
 //   --profile=smoke|paper|prod   workload scale (default: paper)
-//       smoke  CI-sized: 3 engines, 4 combos, 20 ms phases, 2^12 keys
-//       paper  committed-baseline size: every engine, 4 combos,
+//       smoke  CI-sized: 3 engines, 6 combos, 20 ms phases, 2^12 keys
+//       paper  committed-baseline size: every engine, 6 combos,
 //              100/200/100 ms phases, 2^14 keys
-//       prod   2^20 keys, 6 combos, 1 s phases, 8 threads
+//       prod   2^20 keys, 7 combos, 1 s phases, 8 threads
 //   --mix=ycsb-a|ycsb-b|ycsb-c|ycsb-e|R:I:E|R:I:E:S
 //       replace every combo's steady mix with one custom mix
 //   --engines=<name,...>         run only the named engines (kName

@@ -1,16 +1,13 @@
 // Unified container contract (DESIGN.md §9) — the harness-facing face of
-// every LLX/SCX container, in the uniform-rideable style of the Montage
-// test harness: one signature set so tests, stresses, and E9's bench can
-// drive any structure generically.
+// every LLX/SCX key-value engine, in the uniform-rideable style of the
+// Montage test harness: one signature set so tests, stresses, the sharded
+// front-end and E12's workload driver can drive any engine generically.
+// The E9 stack and queue are not key-value engines and stay outside it.
 //
 //   insert(key, value) — add an element; true iff a NEW key/element was
 //                        added (maps: upsert, false = value replaced;
-//                        stack/queue: push/enqueue a ⟨key,value⟩ element,
-//                        always true).
-//   erase(key)         — remove; true iff something was removed. Ordered
-//                        containers remove by key; LIFO/FIFO containers
-//                        document key-independent removal (pop/dequeue the
-//                        structural element and ignore the key).
+//                        the multiset: add copies, always true).
+//   erase(key)         — remove by key; true iff something was removed.
 //   contains(key)      — membership by key, plain-read traversal
 //                        (Proposition 2: no LLX, no CAS).
 //   size()             — element count by traversal. The pinned contract:
@@ -102,11 +99,12 @@ void container_multi_get(const C& c, const std::uint64_t* keys, std::size_t n,
 //                          return how many keys were newly inserted (the
 //                          trees amortize one SCX per leaf group)
 //   items()              — full ⟨key, value⟩ snapshot, quiescent only
-// The fallbacks below keep the verbs total over the whole engine matrix:
-// containers without a native range answer from items() (sorted + filtered
-// — quiescent-exact, like items() itself), and insert_all degrades to the
-// scalar insert loop. So every engine keeps one calling convention and the
-// conformance suite drives range/scan/bulk on all of them.
+// Every engine has range or scan_n, so container_scan needs no fallback.
+// container_range answers engines without a native range (the hash map,
+// and ShardedMap's per-shard slices over it) from items(), sorted and
+// filtered — quiescent-exact, like items() itself — and insert_all
+// degrades to the scalar insert loop. So every engine keeps one calling
+// convention and the conformance suite drives range/scan/bulk on all.
 
 using RangeOut = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
@@ -151,48 +149,20 @@ std::size_t container_range(const C& c, std::uint64_t lo, std::uint64_t hi,
   }
 }
 
-// Bounded unordered scan over any engine (what the workload driver's Scan
-// op uses on unordered engines).
-template <typename C>
-  requires LlxScxContainer<C>
-std::size_t container_scan_n(const C& c, std::size_t limit, RangeOut& out) {
-  if constexpr (HasScanN<C>) {
-    return c.scan_n(limit, out);
-  } else if constexpr (HasRange<C>) {
-    const std::size_t base = out.size();
-    c.range(0, ~std::uint64_t{0}, out);
-    if (out.size() - base > limit) {
-      out.resize(base + limit);
-    }
-    return out.size() - base;
-  } else {
-    static_assert(HasItems<C>, "engine needs scan_n(), range() or items()");
-    const std::size_t base = out.size();
-    for (const auto& [k, v] : c.items()) {
-      if (out.size() - base >= limit) break;
-      out.emplace_back(k, v);
-    }
-    return out.size() - base;
-  }
-}
-
 // The workload driver's scan verb: a bounded window starting at `lo`.
-// Ordered engines answer the interval [lo, lo+span−1] (saturating);
-// engines that only sample answer scan_n(limit) — preferred over the
-// range fallback so a hash-map scan stays a bounded bucket walk instead
-// of a full-table sort per op.
+// Unordered engines answer scan_n(limit) — a bounded bucket walk, never a
+// full-table sort per op; ordered engines answer the interval
+// [lo, lo+span−1] (saturating) through their native range.
 template <typename C>
-  requires LlxScxContainer<C>
+  requires LlxScxContainer<C> && (HasScanN<C> || HasRange<C>)
 std::size_t container_scan(const C& c, std::uint64_t lo, std::uint64_t span,
                            std::size_t limit, RangeOut& out) {
   if constexpr (HasScanN<C>) {
     return c.scan_n(limit, out);
-  } else if constexpr (HasRange<C>) {
+  } else {
     const std::uint64_t hi =
         lo + (span - 1) < lo ? ~std::uint64_t{0} : lo + (span - 1);
     return c.range(lo, hi, out);
-  } else {
-    return container_scan_n(c, limit, out);
   }
 }
 

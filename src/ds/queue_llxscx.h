@@ -99,7 +99,6 @@ class BasicLlxScxQueue {
  public:
   using Node = QueueNode;
   using Domain = LlxScxDomain<Reclaim>;
-  static constexpr const char* kName = "llxscx-queue";
 
   BasicLlxScxQueue() {
     head_.mut(Node::kNext).store(
@@ -198,22 +197,9 @@ class BasicLlxScxQueue {
     }
   }
 
-  // Unified container interface (DESIGN.md §9). erase() is the queue's
-  // structural removal — it dequeues the FRONT element and ignores the
-  // key (FIFO containers remove by position, not by key).
-  bool insert(std::uint64_t key, std::uint64_t value) {
-    return enqueue(key, value);
-  }
-  bool erase(std::uint64_t /*key*/) { return dequeue().has_value(); }
-
-  bool contains(std::uint64_t key) const {
-    typename Domain::Guard g;
-    for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
-      if (cur->key == key) return true;
-    }
-    return false;
-  }
-
+  // Element count by traversal, exact when quiescent. The queue is not a
+  // key-value engine (DESIGN.md §9): it has no insert/erase/contains and
+  // stays out of the LlxScxContainer matrix.
   std::size_t size() const {
     typename Domain::Guard g;
     std::size_t n = 0;

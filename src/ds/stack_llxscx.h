@@ -57,7 +57,6 @@ class BasicLlxScxStack {
  public:
   using Node = StackNode;
   using Domain = LlxScxDomain<Reclaim>;
-  static constexpr const char* kName = "llxscx-stack";
 
   BasicLlxScxStack() {
     head_.mut(Node::kNext).store(
@@ -117,22 +116,9 @@ class BasicLlxScxStack {
     }
   }
 
-  // Unified container interface (DESIGN.md §9). erase() is the stack's
-  // structural removal — it pops the TOP element and ignores the key
-  // (LIFO containers remove by position, not by key).
-  bool insert(std::uint64_t key, std::uint64_t value) {
-    return push(key, value);
-  }
-  bool erase(std::uint64_t /*key*/) { return pop().has_value(); }
-
-  bool contains(std::uint64_t key) const {
-    typename Domain::Guard g;
-    for (const Node* cur = next_of(&head_); !cur->bottom; cur = next_of(cur)) {
-      if (cur->key == key) return true;
-    }
-    return false;
-  }
-
+  // Element count by traversal, exact when quiescent. The stack is not a
+  // key-value engine (DESIGN.md §9): it has no insert/erase/contains and
+  // stays out of the LlxScxContainer matrix.
   std::size_t size() const {
     typename Domain::Guard g;
     std::size_t n = 0;

@@ -8,8 +8,8 @@
 // stream, and duration — the production shape the ROADMAP names:
 //
 //   grow    sequential-ramp stream, insert-heavy mix: fill the structure
-//           to its working size with the dense ascending stream (the E10
-//           grow idiom, now an engine-generic phase).
+//           to its working size with the dense ascending stream, on any
+//           engine (on the hash map it is a run of live doublings).
 //   steady  the profile's (distribution × mix) combination at size.
 //   churn   balanced insert/erase pressure over the same distribution:
 //           turnover at a steady size — the reclamation-heavy regime.

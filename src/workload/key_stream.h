@@ -6,8 +6,8 @@
 // KeyStreamFactory owns the (possibly expensive, possibly shared) state a
 // run needs — the Zipfian harmonic table is computed once and shared
 // read-only by every thread, the sequential ramp's cursor is one atomic
-// shared BY DESIGN (the ramp is a cross-thread ascending stream, the E10
-// grow idiom); make(seed) then mints one cheap per-thread KeyStream that
+// shared BY DESIGN (the ramp is a cross-thread ascending stream, the grow
+// phase's fill); make(seed) then mints one cheap per-thread KeyStream that
 // owns its own PRNG, so worker threads never contend on generator state
 // beyond what the distribution itself requires.
 //

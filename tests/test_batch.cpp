@@ -1,6 +1,6 @@
 // Batched-operation conformance (DESIGN.md §14): container_multi_get /
-// container_apply_batch over EVERY engine — the seven structures and their
-// ShardedMap wrappers — plus EbrManager's size-classed pool and the
+// container_apply_batch over EVERY key-value engine — the five structures
+// and their ShardedMap wrappers — plus EbrManager's size-classed pool and the
 // chunked buffered-retire path they ride.
 //
 // What is pinned here:
@@ -17,24 +17,19 @@
 //     still reaches zero (nothing stranded in pending buffers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
-#include "ds/bst_llxscx.h"
 #include "ds/chromatic_llxscx.h"
 #include "ds/container_api.h"
 #include "ds/hashmap_llxscx.h"
-#include "ds/multiset_llxscx.h"
-#include "ds/patricia_llxscx.h"
-#include "ds/queue_llxscx.h"
-#include "ds/stack_llxscx.h"
 #include "reclaim/epoch.h"
 #include "reclaim/record_manager.h"
 #include "service/batch.h"
-#include "service/sharded_map.h"
 #include "util/random.h"
 
 #include "tests/test_common.h"
@@ -42,52 +37,13 @@
 namespace llxscx {
 namespace {
 
-// Family traits, same derivation as the conformance suite: the sharded
-// wrapper inherits its engine's semantics.
-template <class C>
-struct EngineOf {
-  using type = C;
-};
-template <class E, class S>
-struct EngineOf<ShardedMap<E, S>> {
-  using type = E;
-};
-template <class C>
-using engine_t = typename EngineOf<C>::type;
-
-template <class C>
-constexpr bool kIsSeq = requires(engine_t<C> e) { e.pop(); } ||
-                        requires(engine_t<C> e) { e.dequeue(); };
-template <class C>
-constexpr bool kIsBag = requires(engine_t<C> e) { e.delete_one(1ull); };
-template <class C>
-constexpr bool kKeyedErase = !kIsSeq<C>;
-
-template <class C>
-std::uint64_t drained_outstanding(const C& c) {
-  if constexpr (requires {
-                  c.drain_all();
-                  c.reclaim_outstanding();
-                }) {
-    c.drain_all();
-    return c.reclaim_outstanding();
-  } else {
-    (void)c;
-    Epoch::drain_all_for_testing();
-    return Epoch::outstanding();
-  }
-}
+using testing::drained_outstanding;
+using testing::kIsBag;
 
 template <class C>
 class BatchConformance : public ::testing::Test {};
 
-using Containers = ::testing::Types<
-    LlxScxMultiset, LlxScxStack, LlxScxQueue, LlxScxHashMap, LlxScxBst,
-    LlxScxPatricia, LlxScxChromatic, ShardedMap<LlxScxMultiset>,
-    ShardedMap<LlxScxStack>, ShardedMap<LlxScxQueue>,
-    ShardedMap<LlxScxHashMap>, ShardedMap<LlxScxBst>,
-    ShardedMap<LlxScxPatricia>, ShardedMap<LlxScxChromatic>>;
-TYPED_TEST_SUITE(BatchConformance, Containers);
+TYPED_TEST_SUITE(BatchConformance, testing::KvEngines);
 
 // multi_get == per-key contains on a quiescent container, across present,
 // absent, and duplicate keys; empty batches and n == 1 are no-ops/scalar.
@@ -127,23 +83,7 @@ TYPED_TEST(BatchConformance, MultiGetMatchesContainsQuiescent) {
 TYPED_TEST(BatchConformance, ApplyBatchPreservesInputOrderPerKey) {
   {
     TypeParam c;
-    if constexpr (kIsSeq<TypeParam>) {
-      // Sequence family: erase pops some element; conservation, not keys.
-      std::vector<BatchOp> ins, del;
-      for (std::uint64_t k = 1; k <= 6; ++k) ins.push_back(BatchOp::insert(k, 1));
-      for (std::uint64_t k = 1; k <= 6; ++k) del.push_back(BatchOp::erase(k));
-      std::vector<BatchResult> r(6);
-      container_apply_batch(c, ins.data(), 6, r.data());
-      for (int i = 0; i < 6; ++i) EXPECT_TRUE(r[i].ok) << "push " << i;
-      EXPECT_EQ(c.size(), 6u);
-      container_apply_batch(c, del.data(), 6, r.data());
-      for (int i = 0; i < 6; ++i) EXPECT_TRUE(r[i].ok) << "pop " << i;
-      EXPECT_EQ(c.size(), 0u);
-      BatchOp extra = BatchOp::erase(1);
-      BatchResult er;
-      container_apply_batch(c, &extra, 1, &er);
-      EXPECT_FALSE(er.ok) << "pop from empty";
-    } else if constexpr (kIsBag<TypeParam>) {
+    if constexpr (kIsBag<TypeParam>) {
       // Multiset family: duplicate inserts stack copies; erase removes one.
       const BatchOp ops[] = {BatchOp::insert(7, 1), BatchOp::insert(7, 1),
                              BatchOp::get(7),       BatchOp::erase(7),
@@ -171,44 +111,40 @@ TYPED_TEST(BatchConformance, ApplyBatchPreservesInputOrderPerKey) {
 }
 
 // A batch of mixed ops answers exactly like its scalar replay on an
-// identical container (keyed families: results are a function of per-key
-// history, which both dispatches preserve).
+// identical container (results are a function of per-key history, which
+// both dispatches preserve).
 TYPED_TEST(BatchConformance, ApplyBatchMatchesScalarReplay) {
-  if constexpr (!kKeyedErase<TypeParam>) {
-    GTEST_SKIP() << "sequence pops are order-global; covered above";
-  } else {
-    TypeParam batched, scalar;
-    Xoshiro256 rng(0xBA7C4);
-    constexpr std::size_t kOps = 192;  // > one multi_get run and one chunk
-    std::vector<BatchOp> ops;
-    for (std::size_t i = 0; i < kOps; ++i) {
-      const std::uint64_t key = 1 + rng.below(32);  // dense: plenty of dups
-      const unsigned dice = static_cast<unsigned>(rng.below(3));
-      ops.push_back(dice == 0   ? BatchOp::get(key)
-                    : dice == 1 ? BatchOp::insert(key, 1)
-                                : BatchOp::erase(key));
+  TypeParam batched, scalar;
+  Xoshiro256 rng(0xBA7C4);
+  constexpr std::size_t kOps = 192;  // > one multi_get run and one chunk
+  std::vector<BatchOp> ops;
+  for (std::size_t i = 0; i < kOps; ++i) {
+    const std::uint64_t key = 1 + rng.below(32);  // dense: plenty of dups
+    const unsigned dice = static_cast<unsigned>(rng.below(3));
+    ops.push_back(dice == 0   ? BatchOp::get(key)
+                  : dice == 1 ? BatchOp::insert(key, 1)
+                              : BatchOp::erase(key));
+  }
+  std::vector<BatchResult> got(kOps);
+  container_apply_batch(batched, ops.data(), kOps, got.data());
+  for (std::size_t i = 0; i < kOps; ++i) {
+    bool want = false;
+    switch (ops[i].kind) {
+      case BatchOpKind::kGet:
+        want = scalar.contains(ops[i].key);
+        break;
+      case BatchOpKind::kInsert:
+        want = scalar.insert(ops[i].key, ops[i].value);
+        break;
+      case BatchOpKind::kErase:
+        want = scalar.erase(ops[i].key);
+        break;
     }
-    std::vector<BatchResult> got(kOps);
-    container_apply_batch(batched, ops.data(), kOps, got.data());
-    for (std::size_t i = 0; i < kOps; ++i) {
-      bool want = false;
-      switch (ops[i].kind) {
-        case BatchOpKind::kGet:
-          want = scalar.contains(ops[i].key);
-          break;
-        case BatchOpKind::kInsert:
-          want = scalar.insert(ops[i].key, ops[i].value);
-          break;
-        case BatchOpKind::kErase:
-          want = scalar.erase(ops[i].key);
-          break;
-      }
-      EXPECT_EQ(got[i].ok, want) << "op " << i;
-    }
-    EXPECT_EQ(batched.size(), scalar.size());
-    for (std::uint64_t k = 1; k <= 32; ++k) {
-      EXPECT_EQ(batched.contains(k), scalar.contains(k)) << "key " << k;
-    }
+    EXPECT_EQ(got[i].ok, want) << "op " << i;
+  }
+  EXPECT_EQ(batched.size(), scalar.size());
+  for (std::uint64_t k = 1; k <= 32; ++k) {
+    EXPECT_EQ(batched.contains(k), scalar.contains(k)) << "key " << k;
   }
 }
 
@@ -216,58 +152,53 @@ TYPED_TEST(BatchConformance, ApplyBatchMatchesScalarReplay) {
 // other threads churn a DISJOINT key range — the locked-oracle shape of
 // the §9 stress, specialized to reads whose answers are invariant.
 TYPED_TEST(BatchConformance, MultiGetAgreesUnderConcurrentUpdates) {
-  if constexpr (!kKeyedErase<TypeParam>) {
-    GTEST_SKIP() << "sequence erase pops arbitrary elements — no key is "
-                    "stable under churn";
-  } else {
-    constexpr std::uint64_t kStableBase = 1000;
-    constexpr std::size_t kStable = 64;  // evens present, odds absent
-    constexpr int kUpdaters = 2;
-    {
-      TypeParam c;
-      for (std::size_t i = 0; i < kStable; i += 2) {
-        ASSERT_TRUE(c.insert(kStableBase + i, 1));
-      }
-      std::atomic<bool> stop{false};
-      std::vector<std::thread> updaters;
-      for (int t = 0; t < kUpdaters; ++t) {
-        updaters.emplace_back([&c, &stop, t] {
-          Xoshiro256 rng(0x5EED + static_cast<unsigned>(t));
-          while (!stop.load(std::memory_order_relaxed)) {
-            const std::uint64_t key = 1 + rng.below(64);  // disjoint range
-            if (rng.percent(50)) {
-              c.insert(key, 1);
-            } else {
-              c.erase(key);
-            }
-          }
-        });
-      }
-      std::vector<std::uint64_t> keys(kStable);
-      for (std::size_t i = 0; i < kStable; ++i) keys[i] = kStableBase + i;
-      std::vector<char> got(kStable);
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(
-                                std::max<std::uint64_t>(
-                                    100, testing::stress_millis() / 4));
-      std::uint64_t rounds = 0;
-      while (std::chrono::steady_clock::now() < deadline) {
-        container_multi_get(c, keys.data(), kStable,
-                            reinterpret_cast<bool*>(got.data()));
-        for (std::size_t i = 0; i < kStable; ++i) {
-          ASSERT_EQ(static_cast<bool>(got[i]), i % 2 == 0)
-              << "stable key " << keys[i] << " misread in round " << rounds;
-        }
-        ++rounds;
-      }
-      stop.store(true);
-      for (auto& th : updaters) th.join();
-      EXPECT_GT(rounds, 0u);
-      EXPECT_EQ(drained_outstanding(c), 0u) << "drain-to-zero after churn";
+  constexpr std::uint64_t kStableBase = 1000;
+  constexpr std::size_t kStable = 64;  // evens present, odds absent
+  constexpr int kUpdaters = 2;
+  {
+    TypeParam c;
+    for (std::size_t i = 0; i < kStable; i += 2) {
+      ASSERT_TRUE(c.insert(kStableBase + i, 1));
     }
-    Epoch::drain_all_for_testing();
-    EXPECT_EQ(Epoch::outstanding(), 0u);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> updaters;
+    for (int t = 0; t < kUpdaters; ++t) {
+      updaters.emplace_back([&c, &stop, t] {
+        Xoshiro256 rng(0x5EED + static_cast<unsigned>(t));
+        while (!stop.load(std::memory_order_relaxed)) {
+          const std::uint64_t key = 1 + rng.below(64);  // disjoint range
+          if (rng.percent(50)) {
+            c.insert(key, 1);
+          } else {
+            c.erase(key);
+          }
+        }
+      });
+    }
+    std::vector<std::uint64_t> keys(kStable);
+    for (std::size_t i = 0; i < kStable; ++i) keys[i] = kStableBase + i;
+    std::vector<char> got(kStable);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(
+                              std::max<std::uint64_t>(
+                                  100, testing::stress_millis() / 4));
+    std::uint64_t rounds = 0;
+    while (std::chrono::steady_clock::now() < deadline) {
+      container_multi_get(c, keys.data(), kStable,
+                          reinterpret_cast<bool*>(got.data()));
+      for (std::size_t i = 0; i < kStable; ++i) {
+        ASSERT_EQ(static_cast<bool>(got[i]), i % 2 == 0)
+            << "stable key " << keys[i] << " misread in round " << rounds;
+      }
+      ++rounds;
+    }
+    stop.store(true);
+    for (auto& th : updaters) th.join();
+    EXPECT_GT(rounds, 0u);
+    EXPECT_EQ(drained_outstanding(c), 0u) << "drain-to-zero after churn";
   }
+  Epoch::drain_all_for_testing();
+  EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
 // The hashmap's interleaved lanes route through a LIVE bucket migration:

@@ -1,9 +1,13 @@
-// Shared helpers for the test binaries: the stress-duration knob and the
+// Shared helpers for the test binaries: the stress-duration knob, the
 // multi-thread locked-oracle scaffolding that every structure's stress
 // test used to copy-paste (barrier + stop flag + worker pool + batched
-// delta tally). The per-structure tests supply only the op mix and the
-// final verification.
+// delta tally), and the typed-suite scaffolding the cross-engine suites
+// (conformance, batch) share: the key-value engine list and its family
+// traits. The per-structure tests supply only the op mix and the final
+// verification.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +20,13 @@
 #include <utility>
 #include <vector>
 
+#include "ds/bst_llxscx.h"
+#include "ds/chromatic_llxscx.h"
+#include "ds/hashmap_llxscx.h"
+#include "ds/multiset_llxscx.h"
+#include "ds/patricia_llxscx.h"
+#include "reclaim/epoch.h"
+#include "service/sharded_map.h"
 #include "util/barrier.h"
 #include "util/random.h"
 
@@ -136,5 +147,51 @@ class KeyedOracle {
   std::mutex mu_;
   std::map<std::uint64_t, std::int64_t> net_;
 };
+
+// --- typed-suite scaffolding (DESIGN.md §9, §12) --------------------------
+
+// Every key-value engine: the five structures and ShardedMap around each.
+using KvEngines = ::testing::Types<
+    LlxScxMultiset, LlxScxHashMap, LlxScxBst, LlxScxPatricia, LlxScxChromatic,
+    ShardedMap<LlxScxMultiset>, ShardedMap<LlxScxHashMap>,
+    ShardedMap<LlxScxBst>, ShardedMap<LlxScxPatricia>,
+    ShardedMap<LlxScxChromatic>>;
+
+// The engine behind a front-end: identity for bare structures, Engine for
+// ShardedMap<Engine> — semantic traits follow the engine.
+template <class C>
+struct EngineOf {
+  using type = C;
+};
+template <class E, class S>
+struct EngineOf<ShardedMap<E, S>> {
+  using type = E;
+};
+template <class C>
+using engine_t = typename EngineOf<C>::type;
+
+// The multiset (it exposes delete_one()) is the one bag: duplicate inserts
+// add copies and return true, and erase removes one copy. Every other
+// engine is a map: a duplicate insert returns false.
+template <class C>
+constexpr bool kIsBag = requires(engine_t<C> e) { e.delete_one(1ull); };
+
+// Drain the domains the container retires into, then report what is still
+// outstanding. ShardedMap owns per-shard domains; bare engines retire into
+// the thread's current (default) domain.
+template <class C>
+std::uint64_t drained_outstanding(const C& c) {
+  if constexpr (requires {
+                  c.drain_all();
+                  c.reclaim_outstanding();
+                }) {
+    c.drain_all();
+    return c.reclaim_outstanding();
+  } else {
+    (void)c;
+    Epoch::drain_all_for_testing();
+    return Epoch::outstanding();
+  }
+}
 
 }  // namespace llxscx::testing
