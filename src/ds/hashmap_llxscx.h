@@ -487,8 +487,10 @@ class BasicLlxScxHashMap {
     std::atomic<std::size_t> migrated{0};   // buckets whose finish committed
     // Approximate item count (relaxed, maintained by committed updates and
     // migration copies) — the load-factor half of the growth trigger.
-    // Signed: racing erase/insert accounting may transiently skew it.
-    std::atomic<std::int64_t> items{0};
+    // Signed: racing erase/insert accounting may transiently skew it. On
+    // its own cache line: every committed update writes it, while every
+    // operation reads heads and mask.
+    alignas(64) std::atomic<std::int64_t> items{0};
   };
 
   static Node* to_node(std::uint64_t w) { return reinterpret_cast<Node*>(w); }

@@ -54,9 +54,11 @@
 // vacuously (retired addresses never recur at all).
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -85,7 +87,10 @@ namespace llxscx {
 // nothing shared and the pool-reuse tests read them in every build mode).
 struct ReclaimStats {
   std::uint64_t allocs = 0;     // nodes constructed through the policy
-  std::uint64_t pool_hits = 0;  // allocs served from a per-thread free list
+  // Allocs served from this thread's free list (blocks recycled after a
+  // grace period or a dealloc). Blocks cut from a slab or drawn from the
+  // depot of exited threads' blocks are not hits.
+  std::uint64_t pool_hits = 0;
   std::uint64_t retires = 0;    // nodes handed to retire()
   std::uint64_t deallocs = 0;   // unpublished nodes freed via dealloc()
   std::uint64_t leaked = 0;     // retires dropped on the floor (LeakyManager)
@@ -139,7 +144,7 @@ concept RecordManager = requires(int* p) {
   { M::domain_stats() } -> std::same_as<DomainReclaimStats>;
 };
 
-// --- EbrManager: the default — size-classed pools under epoch grace ----
+// --- EbrManager: the default — slab-carved size classes under epoch grace
 //
 // Retired nodes wait out the epoch grace period (address stability is
 // what the LLX/SCX proofs consume), but when the grace period elapses the
@@ -148,32 +153,49 @@ concept RecordManager = requires(int* p) {
 // Node churn (every SCX replaces nodes by design) then stops paying
 // malloc/free on the steady state.
 //
-// Lists are keyed by SIZE CLASS, not by type (DESIGN.md §14): 16-byte
-// steps up to 256 bytes, then power-of-two classes up to 16 KiB. A block
-// allocated for any type in a class can be reused by any other type in
-// that class — BST internal nodes recycle into Patricia leaves — so
+// Lists are keyed by SIZE CLASS, not by type (DESIGN.md §14): 16, 32 and
+// 64 bytes, then 64-byte steps to 256, then powers of two to 16 KiB. A
+// block allocated for any type in a class can be reused by any other type
+// in that class — BST internal nodes recycle into Patricia leaves — so
 // mixed-structure churn shares one pool instead of fragmenting across
 // per-type lists. Types larger than the biggest class fall back to
 // plain new/delete (still grace-deferred).
 //
+// PLACEMENT. Blocks are cut with a bump pointer from 64-byte-aligned
+// slabs, never malloc'ed one by one: every class divides 64 or is a
+// multiple of it, so a block of up to 64 bytes never straddles a cache
+// line and carries no allocator header (a 56-byte tree node sits on one
+// line at a 64-byte stride, where glibc's 80-byte chunks put three in
+// four of them across two). A thread's alloc tries its free list, then
+// its current slab (or its last draw from the process-wide DEPOT), then
+// a new depot draw, then a new slab. A thread that exits hands its banked blocks and the uncut rest of its
+// slabs to the depot, which a later thread draws from before it cuts new
+// slab space. Slabs are never returned to malloc: memory is bounded by
+// the peak number of live plus banked blocks, not by the current one.
+//
 // The reuse is exactly as safe as delete-then-malloc reuse: a block only
 // reaches the pool after the same grace period that would have preceded
 // its free. Under AddressSanitizer a banked block is poisoned until alloc
-// hands it out again, so a use-after-free or a double retire of pooled
-// storage is still reported, as it would be for freed memory.
+// hands it out again, each carved block is followed by a poisoned
+// redzone and the uncut part of a slab stays poisoned, so a
+// use-after-free, a double retire or an overflow past a node is still
+// reported, as it would be for malloc'ed memory.
 struct EbrManager {
   static constexpr const char* kName = "ebr";
   using Guard = Epoch::Guard;
 
-  // 16-byte-granularity classes 0..15 cover 16..256 bytes; doubling
-  // classes 16..21 cover 512..16384. Returns kNoSizeClass above that.
-  static constexpr std::size_t kNumSizeClasses = 22;
+  // Classes 0..5 are 16, 32, 64, 128, 192, 256 bytes; doubling classes
+  // 6..11 cover 512..16384. Returns kNoSizeClass above that.
+  static constexpr std::size_t kNumSizeClasses = 12;
   static constexpr std::size_t kNoSizeClass = ~std::size_t{0};
+  static constexpr std::size_t kLineBytes = 64;
+  static constexpr std::size_t kSlabBytes = 64 * 1024;
 
   static constexpr std::size_t size_class_of(std::size_t bytes) {
-    if (bytes == 0) return 0;
-    if (bytes <= 256) return (bytes + 15) / 16 - 1;
-    std::size_t cls = 16, cap = 512;
+    if (bytes <= 16) return 0;
+    if (bytes <= 32) return 1;
+    if (bytes <= 256) return (bytes + 63) / 64 + 1;
+    std::size_t cls = 6, cap = 512;
     while (cap < bytes) {
       cap <<= 1;
       if (++cls >= kNumSizeClasses) return kNoSizeClass;
@@ -181,28 +203,33 @@ struct EbrManager {
     return cls;
   }
   static constexpr std::size_t size_class_bytes(std::size_t cls) {
-    return cls < 16 ? (cls + 1) * 16 : std::size_t{512} << (cls - 16);
+    if (cls < 2) return std::size_t{16} << cls;
+    return cls < 6 ? (cls - 1) * 64 : std::size_t{512} << (cls - 6);
   }
 
   template <class T, class... Args>
   static T* alloc(Args&&... args) {
-    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                  "pooled blocks use default operator new alignment");
+    constexpr std::size_t kCls = size_class_of(sizeof(T));
+    // A class block is aligned to min(class, 64), and alignof(T) divides
+    // sizeof(T) <= class; blocks above the classes come from operator new.
+    static_assert(alignof(T) <= (kCls == kNoSizeClass
+                                     ? __STDCPP_DEFAULT_NEW_ALIGNMENT__
+                                     : kLineBytes),
+                  "over-aligned type");
     ++stats().allocs;
     void* block;
-    constexpr std::size_t kCls = size_class_of(sizeof(T));
     if constexpr (kCls == kNoSizeClass) {
       block = ::operator new(sizeof(T));
     } else {
-      std::vector<void*>& fl = free_lists().cls[kCls];
+      std::vector<void*>& fl = cache().cls[kCls].banked;
       if (!fl.empty()) {
         block = fl.back();
         fl.pop_back();
-        asan_unpoison(block, size_class_bytes(kCls));
         ++stats().pool_hits;
       } else {
-        block = ::operator new(size_class_bytes(kCls));
+        block = fresh_block(kCls);
       }
+      asan_unpoison(block, sizeof(T));
     }
     return ::new (block) T(std::forward<Args>(args)...);
   }
@@ -231,7 +258,7 @@ struct EbrManager {
 
   static DomainReclaimStats domain_stats() {
     std::uint64_t pooled = 0;
-    for (const std::vector<void*>& fl : free_lists().cls) pooled += fl.size();
+    for (const ClassCache& cc : cache().cls) pooled += cc.banked.size();
     return {Epoch::outstanding(), Epoch::total_freed(), pooled};
   }
 
@@ -242,60 +269,147 @@ struct EbrManager {
 
   // Blocks banked in this thread's list for `cls` (test visibility).
   static std::size_t free_blocks(std::size_t cls) {
-    return cls < kNumSizeClasses ? free_lists().cls[cls].size() : 0;
+    return cls < kNumSizeClasses ? cache().cls[cls].banked.size() : 0;
   }
 
-  // Return every banked block on THIS thread to the allocator. Tests that
-  // pin pool_hits deltas call this first so blocks left over from earlier
-  // tests in the same size class cannot satisfy (and miscount) an alloc.
-  static void purge_thread_cache() { free_lists().release_all(); }
+  // Slabs cut so far, process-wide (test visibility).
+  static std::size_t slab_count() {
+    Depot& d = depot();
+    std::lock_guard<std::mutex> lock(d.mu);
+    return d.slabs.size();
+  }
+
+  // Hand every block this thread holds — banked, drawn from the depot, or
+  // still uncut in its slabs — to the depot, as thread exit does. Tests
+  // that pin pool_hits deltas call this first so blocks left over from
+  // earlier tests in the same size class cannot satisfy (and miscount) an
+  // alloc: only this thread's free list counts as a pool hit.
+  static void purge_thread_cache() { cache().to_depot(); }
 
  private:
-  template <class T>
-  static void bank(void* q) {
-    constexpr std::size_t kCls = size_class_of(sizeof(T));
-    if constexpr (kCls == kNoSizeClass) {
-      ::operator delete(q);
-    } else {
-      asan_poison(q, size_class_bytes(kCls));
-      free_lists().cls[kCls].push_back(q);
-    }
-  }
-
 #if LLXSCX_ASAN
+  static constexpr std::size_t kRedzoneBytes = kLineBytes;
   static void asan_poison(void* q, std::size_t n) {
-    // A checked read first: banking an already-banked block (a double
-    // retire or dealloc) reads poisoned memory here and is reported.
-    (void)*static_cast<volatile const char*>(q);
     __asan_poison_memory_region(q, n);
   }
   static void asan_unpoison(void* q, std::size_t n) {
     __asan_unpoison_memory_region(q, n);
   }
 #else
+  static constexpr std::size_t kRedzoneBytes = 0;
   static void asan_poison(void*, std::size_t) {}
   static void asan_unpoison(void*, std::size_t) {}
 #endif
 
-  // Raw storage blocks of size_class_bytes(cls); freed for real at thread
-  // exit so the pool never shows up as a leak.
-  struct FreeLists {
-    std::vector<void*> cls[kNumSizeClasses];
-    void release_all() {
-      for (std::size_t c = 0; c < kNumSizeClasses; ++c) {
-        for (void* b : cls[c]) {
-          asan_unpoison(b, size_class_bytes(c));
-          ::operator delete(b);
-        }
-        cls[c].clear();
-      }
+  // Distance between consecutive blocks of a class in a slab. Adding a
+  // whole line of redzone keeps every block aligned to min(class, 64).
+  static constexpr std::size_t stride(std::size_t cls) {
+    return size_class_bytes(cls) + kRedzoneBytes;
+  }
+  static constexpr std::size_t blocks_per_slab(std::size_t cls) {
+    return kSlabBytes / stride(cls);
+  }
+
+  template <class T>
+  static void bank(void* q) {
+    constexpr std::size_t kCls = size_class_of(sizeof(T));
+    if constexpr (kCls == kNoSizeClass) {
+      ::operator delete(q);
+    } else {
+      // A checked read first: under ASan, banking an already-banked block
+      // (a double retire or dealloc) reads poisoned memory and is reported.
+      if constexpr (LLXSCX_ASAN) (void)*static_cast<volatile const char*>(q);
+      asan_poison(q, size_class_bytes(kCls));
+      cache().cls[kCls].banked.push_back(q);
     }
-    ~FreeLists() { release_all(); }
+  }
+
+  // Process-wide home of blocks whose thread exited. Leaked like the
+  // epoch's statics (reclaim/epoch.h): thread-exit hand-overs may run
+  // during process teardown, and LeakSanitizer reaches every slab and
+  // parked block through it.
+  struct Depot {
+    std::mutex mu;
+    std::vector<void*> cls[kNumSizeClasses];  // guarded by mu
+    std::vector<void*> slabs;                 // guarded by mu; never freed
+  };
+  static Depot& depot() {
+    static Depot* d = new Depot;
+    return *d;
+  }
+
+  // One thread's blocks of one class. Every block not handed out is
+  // poisoned under ASan, wherever it sits.
+  struct ClassCache {
+    std::vector<void*> banked;  // LIFO free list: recycled blocks
+    std::vector<void*> drawn;   // taken from the depot, not yet handed out
+    char* cut = nullptr;        // bump pointer into the current slab
+    char* end = nullptr;        // one past its last whole block
   };
 
-  static FreeLists& free_lists() {
-    thread_local FreeLists fl;
-    return fl;
+  struct ThreadCache {
+    ClassCache cls[kNumSizeClasses];
+
+    void to_depot() {
+      Depot& d = depot();
+      std::lock_guard<std::mutex> lock(d.mu);
+      for (std::size_t c = 0; c < kNumSizeClasses; ++c) {
+        ClassCache& cc = cls[c];
+        std::vector<void*>& pile = d.cls[c];
+        pile.insert(pile.end(), cc.banked.begin(), cc.banked.end());
+        pile.insert(pile.end(), cc.drawn.begin(), cc.drawn.end());
+        for (; cc.cut != cc.end; cc.cut += stride(c)) pile.push_back(cc.cut);
+        cc.banked.clear();
+        cc.drawn.clear();
+      }
+    }
+    ~ThreadCache() { to_depot(); }
+  };
+
+  static ThreadCache& cache() {
+    thread_local ThreadCache tc;
+    return tc;
+  }
+
+  // The free list is empty: take a block from the last depot draw or the
+  // current slab (at most one of them is non-empty), else refill.
+  static void* fresh_block(std::size_t c) {
+    ClassCache& cc = cache().cls[c];
+    if (cc.drawn.empty() && cc.cut == cc.end) refill(c, cc);
+    if (!cc.drawn.empty()) {
+      void* b = cc.drawn.back();
+      cc.drawn.pop_back();
+      return b;
+    }
+    void* b = cc.cut;
+    cc.cut += stride(c);
+    return b;
+  }
+
+  // Up to one slab's worth of blocks from the depot, else a new slab. The
+  // caller may hold epoch guards, so the lock is never held across malloc.
+  static void refill(std::size_t c, ClassCache& cc) {
+    Depot& d = depot();
+    {
+      std::lock_guard<std::mutex> lock(d.mu);
+      std::vector<void*>& pile = d.cls[c];
+      if (!pile.empty()) {
+        const auto from = pile.end() - static_cast<std::ptrdiff_t>(std::min(
+                                            pile.size(), blocks_per_slab(c)));
+        cc.drawn.assign(from, pile.end());
+        pile.erase(from, pile.end());
+        return;
+      }
+    }
+    char* slab = static_cast<char*>(
+        ::operator new(kSlabBytes, std::align_val_t{kLineBytes}));
+    asan_poison(slab, kSlabBytes);
+    {
+      std::lock_guard<std::mutex> lock(d.mu);
+      d.slabs.push_back(slab);
+    }
+    cc.cut = slab;
+    cc.end = slab + blocks_per_slab(c) * stride(c);
   }
 };
 

@@ -275,17 +275,36 @@ TEST(EbrManagerSizeClasses, MappingPinned) {
   static_assert(EbrManager::size_class_of(1) == 0);
   static_assert(EbrManager::size_class_of(16) == 0);
   static_assert(EbrManager::size_class_of(17) == 1);
-  static_assert(EbrManager::size_class_of(256) == 15);
-  static_assert(EbrManager::size_class_of(257) == 16);
-  static_assert(EbrManager::size_class_of(512) == 16);
-  static_assert(EbrManager::size_class_of(513) == 17);
-  static_assert(EbrManager::size_class_of(16384) == 21);
+  static_assert(EbrManager::size_class_of(32) == 1);
+  static_assert(EbrManager::size_class_of(33) == 2);
+  static_assert(EbrManager::size_class_of(64) == 2);
+  static_assert(EbrManager::size_class_of(65) == 3);
+  static_assert(EbrManager::size_class_of(192) == 4);
+  static_assert(EbrManager::size_class_of(256) == 5);
+  static_assert(EbrManager::size_class_of(257) == 6);
+  static_assert(EbrManager::size_class_of(512) == 6);
+  static_assert(EbrManager::size_class_of(513) == 7);
+  static_assert(EbrManager::size_class_of(16384) == 11);
   static_assert(EbrManager::size_class_of(16385) ==
                 EbrManager::kNoSizeClass);
+  static_assert(EbrManager::kNumSizeClasses == 12);
   static_assert(EbrManager::size_class_bytes(0) == 16);
-  static_assert(EbrManager::size_class_bytes(15) == 256);
-  static_assert(EbrManager::size_class_bytes(16) == 512);
-  static_assert(EbrManager::size_class_bytes(21) == 16384);
+  static_assert(EbrManager::size_class_bytes(1) == 32);
+  static_assert(EbrManager::size_class_bytes(2) == 64);
+  static_assert(EbrManager::size_class_bytes(3) == 128);
+  static_assert(EbrManager::size_class_bytes(5) == 256);
+  static_assert(EbrManager::size_class_bytes(6) == 512);
+  static_assert(EbrManager::size_class_bytes(11) == 16384);
+  // Every class divides a cache line or is a whole number of lines, so a
+  // block cut at a multiple of its class from a line-aligned slab never
+  // straddles a line it could have fit in.
+  static_assert([] {
+    for (std::size_t c = 0; c < EbrManager::kNumSizeClasses; ++c) {
+      const std::size_t b = EbrManager::size_class_bytes(c);
+      if (64 % b != 0 && b % 64 != 0) return false;
+    }
+    return true;
+  }());
   // Every block a class hands out is big enough for every size mapped to
   // that class (the invariant that makes cross-type reuse sound).
   for (std::size_t bytes = 1; bytes <= 16384; ++bytes) {

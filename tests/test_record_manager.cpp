@@ -276,5 +276,100 @@ TEST(EbrManager, DrainLeavesNoDescriptorHistory) {
   EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
+// Blocks come from line-aligned slabs cut at a multiple of their class:
+// a 56-byte tree node sits alone on its cache line and a 48-byte hash-map
+// node never straddles two. (With one malloc chunk per block, glibc's
+// 80-byte chunks at 16-byte alignment put most tree nodes across a line.)
+TEST(EbrManagerSlabs, NodesSitOnCacheLines) {
+  constexpr int kN = 1000;
+  constexpr std::uintptr_t kLine = 64;
+  static_assert(sizeof(ChromaticNode) <= kLine);
+  static_assert(sizeof(HashMapNode) <= kLine);
+  std::vector<ChromaticNode*> tree_nodes;
+  std::vector<HashMapNode*> map_nodes;
+  for (int i = 0; i < kN; ++i) {
+    tree_nodes.push_back(EbrManager::alloc<ChromaticNode>(
+        static_cast<std::uint64_t>(i), std::uint64_t{0}, std::uint32_t{1}));
+    map_nodes.push_back(EbrManager::alloc<HashMapNode>(
+        static_cast<std::uint64_t>(i), std::uint64_t{0}, nullptr));
+  }
+  int misaligned = 0, straddling = 0;
+  for (ChromaticNode* n : tree_nodes) {
+    if (reinterpret_cast<std::uintptr_t>(n) % kLine != 0) ++misaligned;
+  }
+  for (HashMapNode* n : map_nodes) {
+    const auto a = reinterpret_cast<std::uintptr_t>(n);
+    if (a / kLine != (a + sizeof(HashMapNode) - 1) / kLine) ++straddling;
+  }
+  EXPECT_EQ(misaligned, 0) << "of " << kN << " chromatic nodes";
+  EXPECT_EQ(straddling, 0) << "of " << kN << " hash-map nodes";
+  for (ChromaticNode* n : tree_nodes) EbrManager::dealloc(n);
+  for (HashMapNode* n : map_nodes) EbrManager::dealloc(n);
+}
+
+// A thread's blocks outlive it in the depot: threads started one at a
+// time, each allocating and freeing a few thousand blocks, are served by
+// their predecessors' blocks, so no slab is cut after the first thread.
+TEST(EbrManagerSlabs, ExitedThreadsBlocksAreReused) {
+  constexpr int kThreads = 16;
+  constexpr int kBlocks = 4000;
+  struct Block {
+    char bytes[64];
+  };
+  std::size_t after_first = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([] {
+      std::vector<Block*> v;
+      for (int i = 0; i < kBlocks; ++i) v.push_back(EbrManager::alloc<Block>());
+      for (Block* b : v) EbrManager::dealloc(b);
+    }).join();
+    if (t == 0) after_first = EbrManager::slab_count();
+  }
+  EXPECT_LE(EbrManager::slab_count(), after_first)
+      << "a later thread cut new slabs instead of reusing exited threads' "
+         "blocks";
+}
+
+#if LLXSCX_ASAN
+// Pool blocks keep ASan's overflow and use-after-free coverage: the byte
+// past a live node is poisoned — the slack of its class block, or the
+// redzone before the next block, even when that neighbour is live — and
+// so is every byte of a banked block.
+TEST(EbrManagerSlabs, AsanPoisonsPastLiveAndBankedBlocks) {
+  struct Line {
+    char bytes[64];
+  };
+  // Allocate until a slab is cut, then once more: the last two blocks are
+  // neighbours in that slab, both live.
+  std::vector<Line*> live;
+  const std::size_t slabs0 = EbrManager::slab_count();
+  while (EbrManager::slab_count() == slabs0) {
+    live.push_back(EbrManager::alloc<Line>());
+  }
+  const char* first = live.back()->bytes;
+  live.push_back(EbrManager::alloc<Line>());
+  const char* second = live.back()->bytes;
+  EXPECT_FALSE(__asan_address_is_poisoned(first));
+  EXPECT_FALSE(__asan_address_is_poisoned(first + sizeof(Line) - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(first + sizeof(Line)))
+      << "no redzone between two live neighbours";
+  EXPECT_FALSE(__asan_address_is_poisoned(second));
+
+  ChromaticNode* node = EbrManager::alloc<ChromaticNode>(
+      std::uint64_t{1}, std::uint64_t{2}, std::uint32_t{1});
+  const char* nb = reinterpret_cast<const char*>(node);
+  EXPECT_FALSE(__asan_address_is_poisoned(nb + sizeof(ChromaticNode) - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(nb + sizeof(ChromaticNode)))
+      << "the class block's slack past a live node is addressable";
+
+  for (Line* l : live) EbrManager::dealloc(l);
+  EbrManager::dealloc(node);
+  EXPECT_TRUE(__asan_address_is_poisoned(first)) << "banked block addressable";
+  EXPECT_TRUE(__asan_address_is_poisoned(first + sizeof(Line)))
+      << "no redzone after a banked block";
+  EXPECT_TRUE(__asan_address_is_poisoned(nb));
+}
+#endif
+
 }  // namespace
 }  // namespace llxscx

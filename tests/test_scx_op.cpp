@@ -41,7 +41,8 @@ struct MisuseRecorder {
 TEST(ScxOp, CommitWritesFieldAndFinalizesRSet) {
   Epoch::Guard g;
   Rec a(1, 2);
-  auto* r = new Rec(3, 4);
+  // Through the builder's policy: commit retires r through it.
+  Rec* r = EbrManager::alloc<Rec>(3, 4);
   auto la = llx(&a);
   auto lr = llx(r);
   ASSERT_TRUE(la.ok());
@@ -56,8 +57,9 @@ TEST(ScxOp, CommitWritesFieldAndFinalizesRSet) {
   EXPECT_EQ(a.mut(1).load(), 2u) << "only the written field changes";
   auto lr2 = llx(r);
   EXPECT_TRUE(lr2.is_finalized()) << "remove() must finalize on commit";
-  // r was retired by the builder (exactly once); n was published.
-  delete n.get();
+  // r was retired by the builder (exactly once); n was published, and
+  // goes back to the policy that allocated it.
+  EbrManager::dealloc(n.get());
   Epoch::drain_all_for_testing();
 }
 
@@ -157,7 +159,7 @@ TEST(ScxOpMisuse, ReusedNewValueDiagnosed) {
   ASSERT_EQ(MisuseRecorder::log().size(), 1u);
   EXPECT_EQ(MisuseRecorder::log()[0], kScxOpNewNotFresh);
   EXPECT_EQ(a.mut(1).load(), 2u) << "poisoned op must not write";
-  delete n1.get();
+  EbrManager::dealloc(n1.get());
 }
 
 TEST(ScxOpMisuse, FldOwnerNotInVDiagnosed) {
